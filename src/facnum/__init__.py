@@ -14,6 +14,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     ValidationError,
+    VerificationError,
 )
 from .explore import (
     CatalogEntry,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import DomainError, FacnumError, ParseError, ResourceLimitError
+from .errors import DomainError, FacnumError, ParseError, ResourceLimitError, VerificationError
 from .explore import check_conjecture6, check_theorem5, open_problem_table
 from .formulas import (
     PartitionType,
@@ -258,7 +258,9 @@ def _cmd_f2(args) -> int:
     spec = GroupSpec.parse(args.spec)
     G = spec.build(max_order=args.max_order)
     lat = enumerate_subgroups(G, max_subgroups=args.max_subgroups)
-    f2 = f2_bruteforce(lat, threads=args.threads)
+    # verify_inversion counts F2 itself; count it once per lattice
+    inv = verify_inversion(G, lattice=lat, threads=args.threads) if args.verify else None
+    f2 = f2_bruteforce(lat, threads=args.threads) if inv is None else inv.f2
     doc = {
         "command": "f2",
         "spec": spec.canonical(),
@@ -278,8 +280,7 @@ def _cmd_f2(args) -> int:
             f"  ({i}, {j})  orders ({lat.subgroups[i].order}, {lat.subgroups[j].order})"
             for i, j in pairs
         )
-    if args.verify:
-        inv = verify_inversion(G, lattice=lat, threads=args.threads)
+    if inv is not None:
         checks: dict[str, str] = {
             "eq1": "pass" if inv.eq1 == inv.f2 else "FAIL",
         }
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"facnum: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except VerificationError as exc:
+        print(f"facnum: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
     except FacnumError as exc:
         print(f"facnum: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,10 +1,11 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes, so keep the split:
-input problems (ValidationError / DomainError / ParseError) versus
-resource-cap problems (ResourceLimitError).  Internal invariants that
-must never fail (exact divisions, presentation self-checks) use plain
-``assert`` / AssertionError instead.
+input problems (ValidationError / DomainError / ParseError), resource-cap
+problems (ResourceLimitError) and two routes to one number that disagree
+(VerificationError).  Internal invariants that must never fail (exact
+divisions, presentation self-checks) use plain ``assert`` / AssertionError
+instead.
 """
 
 
@@ -27,3 +28,8 @@ class ParseError(FacnumError, ValueError):
 
 class ResourceLimitError(FacnumError, RuntimeError):
     """A configured safety cap (group order, subgroup count) was exceeded."""
+
+
+class VerificationError(FacnumError, RuntimeError):
+    """Two independent routes to the same quantity gave different answers.
+    Raised explicitly, so the check survives ``python -O``."""

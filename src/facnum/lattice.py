@@ -1,11 +1,11 @@
 """Subgroup lattices: enumeration, Moebius values, factorization counting.
 
 Subgroups are bitsets over element indices (Python ints), mirrored into
-a numpy uint64 word matrix for the quadratic passes.  The two hot loops
-are pair counting and containment, both blocked by subgroup order:
-a product set satisfies |HK| = |H||K| / |H∩K| for any two subgroups, so
-HK = G is equivalent to |H|*|K| == |G|*|H∩K| and only the intersection
-popcount is ever materialized.
+a numpy uint64 word matrix for pair counting, which is blocked by
+subgroup order: a product set satisfies |HK| = |H||K| / |H∩K| for any
+two subgroups, so HK = G is equivalent to |H|*|K| == |G|*|H∩K| and only
+the intersection popcount is ever materialized.  Containment is not
+scanned for: it follows from the extension edges the enumeration records.
 
 All aggregate arithmetic (Moebius values, inversion sums) runs on plain
 Python ints; the numpy side only ever produces bounded popcounts.
@@ -19,17 +19,19 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, VerificationError
 from .formulas import hall_mobius, is_prime
 from .groups import FiniteGroup, is_elementary_abelian, prime_power, quotient
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
-# target element count per temporary block in the quadratic passes
+# target element count per temporary block in pair counting and in the
+# coset gathers of the index-p extension
 _BLOCK_ELEMS = 4_000_000
 
 
@@ -49,56 +51,54 @@ class Subgroup:
             b ^= low
         return out
 
-    def contains_index(self, i: int) -> bool:
-        return bool((self.bits >> i) & 1)
 
-    def issubset(self, other: "Subgroup") -> bool:
-        return self.bits & other.bits == self.bits
-
-
-def _bits_from_indices(indices, nbytes: int) -> int:
-    buf = np.zeros(nbytes * 8, dtype=bool)
-    buf[indices] = True
-    return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+def _pack(mask: np.ndarray) -> int:
+    """Bitset of a boolean element mask."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _indices_from_bits(bits: int, n: int) -> np.ndarray:
-    out = np.empty(bits.bit_count(), dtype=np.int64)
-    pos = 0
-    b = bits
-    while b:
-        low = b & -b
-        out[pos] = low.bit_length() - 1
-        pos += 1
-        b ^= low
-    return out
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """Boolean element mask of a bitset over n elements."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
-def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the seed elements (and the identity)."""
+def _right_cosets(G: FiniteGroup, h_idx: np.ndarray, gens) -> np.ndarray:
+    """Right-coset labels of J = <H, gens> for the subgroup H with elements
+    h_idx: label[y] = k for y in the k-th coset Hx found (H itself is 0),
+    -1 outside J.  J is reached from H by right multiplication with gens,
+    since Hx*s is the coset H(xs); that needs the elements of H among gens
+    unless each generator normalizes H.  With gens = [g] normalizing H, the
+    k-th coset is Hg^k.  Each coset costs one gather of its
+    representative's products and one gather of its elements."""
+    t = G.table
+    gens = np.asarray(gens, dtype=np.int64)
+    label = np.full(G.order, -1, dtype=np.int64)
+    label[h_idx] = 0
+    reps = [0]
+    k = 0
+    while reps:
+        products = t[reps.pop(), gens]
+        for x in products[label[products] < 0].tolist():
+            if label[x] < 0:
+                k += 1
+                label[t[h_idx, x]] = k
+                reps.append(x)
+    return label
+
+
+def closure(G: FiniteGroup, seed: Iterable[int], base: Subgroup = Subgroup(1, 1)) -> Subgroup:
+    """Smallest subgroup containing the seed elements and the subgroup base
+    (trivial by default), built coset by coset of base:
+    O(|J| + |J:base|*|base|) table lookups."""
     n = G.order
     seed = [int(s) for s in seed]
     if any(s < 0 or s >= n for s in seed):
         raise DomainError("seed indices must lie in [0, order)")
-    rows = G.rows
-    bits = 1
-    members = [0]
-    queue = []
-    for s in seed:
-        if not (bits >> s) & 1:
-            bits |= 1 << s
-            members.append(s)
-            queue.append(s)
-    while queue:
-        x = queue.pop()
-        row_x = rows[x]
-        for y in list(members):
-            for z in (row_x[y], rows[y][x]):
-                if not (bits >> z) & 1:
-                    bits |= 1 << z
-                    members.append(z)
-                    queue.append(z)
-    return Subgroup(bits, len(members))
+    h_idx = base.indices()
+    gens = seed if G.is_commutative else h_idx[1:] + seed
+    bits = _pack(_right_cosets(G, np.array(h_idx), gens) >= 0)
+    return Subgroup(bits, bits.bit_count())
 
 
 class SubgroupLattice:
@@ -107,17 +107,23 @@ class SubgroupLattice:
     Members are sorted canonically by (order, bitset value) ascending, so
     index 0 is the trivial subgroup and the last index is the full group.
     Pairwise intersections of members are members; inclusion is a two-int
-    bit test.
+    bit test.  Containment lists are derived from the extension edges
+    H -> J recorded by enumerate_subgroups, which chain every pair H < K.
     """
 
-    def __init__(self, group: FiniteGroup, members: dict[int, np.ndarray]):
+    def __init__(self, group: FiniteGroup, found: list[int],
+                 edges: tuple[np.ndarray, np.ndarray]):
+        """found: member bitsets in discovery order; edges: (source, target)
+        arrays of discovery numbers, one entry per recorded extension."""
         self.group = group
         nbytes = ((group.order + 63) // 64) * 8
         self._nbytes = nbytes
-        items = sorted(members.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-        self.subgroups = [Subgroup(bits, bits.bit_count()) for bits, _ in items]
+        order = sorted(range(len(found)), key=lambda i: (found[i].bit_count(), found[i]))
+        self.subgroups = [Subgroup(found[i], found[i].bit_count()) for i in order]
         self._bits = [s.bits for s in self.subgroups]
-        self._idx_arrays = [np.sort(arr) for _, arr in items]
+        rank = np.empty(len(found), dtype=np.int64)
+        rank[order] = np.arange(len(found), dtype=np.int64)
+        self._edges = (rank[edges[0]], rank[edges[1]])
         self.orders = np.array([s.order for s in self.subgroups], dtype=np.int64)
         self._index = {s.bits: i for i, s in enumerate(self.subgroups)}
         self.index_of_trivial = 0
@@ -143,7 +149,7 @@ class SubgroupLattice:
 
     def member_indices(self, h: int) -> np.ndarray:
         """Element indices of member h, sorted."""
-        return self._idx_arrays[h]
+        return np.flatnonzero(np.unpackbits(self.words[h].view(np.uint8), bitorder="little"))
 
     def leq(self, i: int, j: int) -> bool:
         """Inclusion H_i <= H_j, O(words)."""
@@ -191,41 +197,31 @@ class SubgroupLattice:
     # -- containment structure ------------------------------------------------
 
     def _ensure_containment(self) -> None:
+        """Up-lists from the extension edges, visiting members in decreasing
+        index: up[h] = {h} u the up-lists of every edge target of h.  The
+        down-lists are their transpose, each member first."""
         if self._up is not None:
             return
         m = len(self)
-        words = self.words
-        orders = self.orders
-        classes: dict[int, np.ndarray] = {}
-        for o in np.unique(orders):
-            classes[int(o)] = np.nonzero(orders == o)[0]
-        subs = [np.arange(m, dtype=np.int64)]
-        sups = [np.arange(m, dtype=np.int64)]
-        order_values = sorted(classes)
-        for da in order_values:
-            A = classes[da]
-            wa = words[A]
-            for db in order_values:
-                if db <= da or db % da:
-                    continue
-                B = classes[db]
-                wb = words[B]
-                step = max(1, _BLOCK_ELEMS // max(1, wb.shape[0] * wb.shape[1]))
-                for s in range(0, wa.shape[0], step):
-                    blk = wa[s:s + step]
-                    mask = ((blk[:, None, :] & wb[None, :, :]) == blk[:, None, :]).all(axis=2)
-                    ii, jj = np.nonzero(mask)
-                    if len(ii):
-                        subs.append(A[s + ii])
-                        sups.append(B[jj])
-        sub_arr = np.concatenate(subs)
-        sup_arr = np.concatenate(sups)
-        self._up_degrees = np.bincount(sub_arr, minlength=m)
+        src, dst = self._edges
+        by_src = np.argsort(src, kind="stable")
+        targets = np.split(dst[by_src], np.cumsum(np.bincount(src, minlength=m))[:-1])
+        mark = np.zeros(m, dtype=bool)
+        up: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * m
+        for h in range(m - 1, -1, -1):
+            mark[h] = True
+            for j in targets[h].tolist():
+                mark[up[j]] = True
+            up[h] = np.flatnonzero(mark[h:]) + h
+            mark[up[h]] = False
+        self._up_degrees = np.array([len(u) for u in up], dtype=np.int64)
+        sup_arr = np.concatenate(up)
+        sub_arr = np.repeat(np.arange(m, dtype=np.int64), self._up_degrees)
+        # sort by sup, the member itself ahead of its proper subgroups
+        by_sup = np.argsort(2 * sup_arr + (sub_arr != sup_arr), kind="stable")
         self._down_degrees = np.bincount(sup_arr, minlength=m)
-        by_sub = np.argsort(sub_arr, kind="stable")
-        self._up = np.split(sup_arr[by_sub], np.cumsum(self._up_degrees)[:-1])
-        by_sup = np.argsort(sup_arr, kind="stable")
         self._down = np.split(sub_arr[by_sup], np.cumsum(self._down_degrees)[:-1])
+        self._up = up
 
     @property
     def up_lists(self) -> list[np.ndarray]:
@@ -271,99 +267,130 @@ class SubgroupLattice:
         return True
 
 
-def _power_chain(G: FiniteGroup, g: int) -> list[int]:
+def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
+    x = np.arange(G.order)
+    y = x
+    for _ in range(p - 1):
+        y = G.table[y, x]
+    return y
+
+
+def _index_p_joins(G: FiniteGroup, p: int, powers: np.ndarray, h_bits: int) -> list[int]:
+    """Bitsets of the subgroups J = H u Hg u ... u Hg^(p-1) of a p-group,
+    one per join, for the g outside H with g^p in H that normalize H."""
     t = G.table
-    chain = [0]
-    x = g
-    while x != 0:
-        chain.append(x)
-        x = int(t[x, g])
-    return chain
+    nbytes = ((G.order + 63) // 64) * 8
+    in_h = _unpack(h_bits, G.order)
+    h_idx = np.flatnonzero(in_h)
+    cand = np.flatnonzero(in_h[powers] & ~in_h)
+    step = max(1, _BLOCK_ELEMS // ((p - 1) * len(h_idx)))
+    outside = []
+    for s in range(0, len(cand), step):
+        g = cand[s:s + step]
+        if not G.is_commutative:
+            conj = t[t[g[:, None], h_idx[None, :]], G.inverses[g][:, None]]
+            g = g[in_h[conj].all(axis=1)]
+        x, cosets = g, []
+        for _ in range(p - 1):
+            cosets.append(t[h_idx[None, :], x[:, None]])
+            x = t[x, g]
+        block = np.concatenate(cosets, axis=1)
+        # J \ H consists of candidates, so its least element is one: keep
+        # exactly the rows of those, one per join
+        outside.append(block[block.min(axis=1) == g])
+    outside = np.concatenate(outside)
+    member = np.zeros((len(outside), nbytes * 8), dtype=bool)
+    member[:, h_idx] = True
+    member[np.arange(len(outside))[:, None], outside] = True
+    packed = np.packbits(member, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i:i + nbytes], "little")
+            for i in range(0, len(packed), nbytes)]
+
+
+def _generic_joins(G: FiniteGroup, h_bits: int) -> list[int]:
+    """Bitsets of <H, g> for every g outside H, skipping the elements x
+    with <H, x> equal to a join already taken.  If g normalizes H (always,
+    when G is commutative or H trivial), J = <H, g> is the union of the
+    cosets Hg^k, k < m = |J:H|, and the skipped x are those in the cosets
+    with k prime to m.  Otherwise they are the x in the double cosets HyH
+    for y a generator of <g>, or all of J \\ H when m is prime (Lagrange
+    inside J)."""
+    t = G.table
+    in_h = _unpack(h_bits, G.order)
+    h_idx = np.flatnonzero(in_h)
+    covered = h_bits
+    joins = []
+    for g in range(1, G.order):
+        if (covered >> g) & 1:
+            continue
+        if G.is_commutative or in_h[t[t[g, h_idx], G.inverses[g]]].all():
+            label = _right_cosets(G, h_idx, [g])
+            skip = (label > 0) & (np.gcd(label, label.max() + 1) == 1)
+        else:
+            label = _right_cosets(G, h_idx, np.append(h_idx[1:], g))
+            if is_prime(int(label.max()) + 1):
+                skip = label > 0
+            else:
+                chain, x = [0], g
+                while x:
+                    chain.append(x)
+                    x = int(t[x, g])
+                y = np.array([x for k, x in enumerate(chain) if math.gcd(k, len(chain)) == 1])
+                skip = np.isin(label, label[t[y[:, None], h_idx[None, :]]])
+        joins.append(_pack(label >= 0))
+        covered |= _pack(skip)
+    return joins
 
 
 def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> SubgroupLattice:
-    """Materialize the full subgroup lattice by breadth-first extension.
+    """Materialize the full subgroup lattice by extension from the trivial
+    subgroup, recording every extension H -> J as a containment edge.
 
-    Start from all cyclic subgroups, then repeatedly extend each known
-    subgroup H by an outside element g and close.  When an extension
-    <H, g> has prime index over H, every other element of it would
-    regenerate the same join (Lagrange inside <H, g>), so those elements
-    are skipped; this prune is what keeps large elementary abelian
-    lattices tractable without changing the algorithm's output.
+    In a group of prime-power order p^k, H is extended only by elements g
+    outside H with g^p in H that normalize H, so every join J = H<g> has
+    index p over H and is the coset-power union H u Hg u ... u Hg^(p-1).
+    That finds every subgroup: each J > 1 of a p-group has a maximal
+    subgroup H, which is normal of index p, and J = H<g> for any g in
+    J \\ H.  Other orders take the generic extension <H, g>, built coset
+    by coset of H, for every g outside H except those that provably
+    regenerate a join already taken.  Under both rules every pair H < K
+    is joined by a chain of recorded edges (in a p-group the normalizer
+    of H in K is larger than H), so SubgroupLattice derives containment
+    from the edges alone.
     """
     cap = DEFAULT_MAX_SUBGROUPS if max_subgroups is None else int(max_subgroups)
-    n = G.order
-    t = G.table
-    nbytes = ((n + 63) // 64) * 8
-    commutative = G.is_commutative
+    full = (1 << G.order) - 1
+    pk = prime_power(G.order)
+    if pk is None:
+        joins = partial(_generic_joins, G)
+    else:
+        joins = partial(_index_p_joins, G, pk[0], _pth_powers(G, pk[0]))
 
-    found: dict[int, np.ndarray] = {1: np.array([0], dtype=np.int64)}
-    frontier: deque[int] = deque()
-
-    def add(bits: int, idx: np.ndarray) -> bool:
-        if bits in found:
-            return False
-        found[bits] = idx
-        if len(found) > cap:
-            raise ResourceLimitError(
-                f"subgroup count exceeded the cap {cap} "
-                "(pass max_subgroups to override)"
-            )
-        if len(idx) < n:
-            frontier.append(bits)
-        return True
-
-    for g in range(1, n):
-        chain = _power_chain(G, g)
-        bits = _bits_from_indices(chain, nbytes)
-        add(bits, np.array(chain, dtype=np.int64))
-
-    rows = G.rows if not commutative else None
-
+    found: dict[int, int] = {1: 0}  # bitset -> discovery number
+    members = [1]
+    src: list[int] = []
+    dst: list[int] = []
+    frontier: deque[int] = deque([1] if G.order > 1 else [])
     while frontier:
         h_bits = frontier.popleft()
-        h_idx = found[h_bits]
-        h_size = len(h_idx)
-        covered = h_bits
-        for g in range(1, n):
-            if (covered >> g) & 1:
-                continue
-            if commutative:
-                parts = [h_idx]
-                x = g
-                while not (h_bits >> x) & 1:
-                    parts.append(t[h_idx, x])
-                    x = int(t[x, g])
-                j_idx = np.concatenate(parts)
-                j_bits = _bits_from_indices(j_idx, nbytes)
-            else:
-                sub = closure_from(rows, h_bits, h_idx.tolist(), g)
-                j_bits, j_idx = sub
-            j_size = len(j_idx)
-            add(j_bits, np.asarray(j_idx, dtype=np.int64))
-            index = j_size // h_size
-            if is_prime(index):
-                covered |= j_bits
-
-    return SubgroupLattice(G, found)
-
-
-def closure_from(rows, base_bits: int, base_members: list[int], g: int):
-    """Generic orbit closure of an existing subgroup extended by one element."""
-    bits = base_bits | (1 << g)
-    members = list(base_members)
-    members.append(g)
-    queue = [g]
-    while queue:
-        x = queue.pop()
-        row_x = rows[x]
-        for y in list(members):
-            for z in (row_x[y], rows[y][x]):
-                if not (bits >> z) & 1:
-                    bits |= 1 << z
-                    members.append(z)
-                    queue.append(z)
-    return bits, members
+        h = found[h_bits]
+        for j_bits in joins(h_bits):
+            j = found.get(j_bits)
+            if j is None:
+                j = found[j_bits] = len(members)
+                members.append(j_bits)
+                if len(members) > cap:
+                    raise ResourceLimitError(
+                        f"subgroup count exceeded the cap {cap}: stopped after "
+                        f"{len(members)} subgroups, the largest of order "
+                        f"{max(b.bit_count() for b in members)} (pass max_subgroups to override)"
+                    )
+                if j_bits != full:
+                    frontier.append(j_bits)
+            src.append(h)
+            dst.append(j)
+    return SubgroupLattice(G, members, (np.array(src, dtype=np.int64),
+                                        np.array(dst, dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +561,11 @@ def sd(lat: SubgroupLattice) -> Fraction:
     m = len(lat)
     via_f2 = sum(f2_of_member(lat, h) for h in range(m))
     via_pairs = permuting_pairs(lat)
-    assert via_f2 == via_pairs, (
-        f"sd routes disagree: sum of member F2 = {via_f2}, "
-        f"permuting pairs = {via_pairs}"
-    )
+    if via_f2 != via_pairs:
+        raise VerificationError(
+            f"sd routes disagree: sum of member F2 = {via_f2}, "
+            f"permuting pairs = {via_pairs}"
+        )
     return Fraction(via_f2, m * m)
 
 

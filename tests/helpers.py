@@ -8,6 +8,8 @@ with sympy.  Keep them dumb.
 
 from itertools import combinations
 
+import numpy as np
+
 from facnum.groups import FiniteGroup
 
 SUBSET_ORACLE_MAX_ORDER = 16
@@ -67,3 +69,42 @@ def mobius_oracle(lat) -> list[int]:
     mu = zeta.inv()
     top = lat.index_of_full
     return [int(mu[h, top]) for h in range(m)]
+
+
+def permutation_group(generators, label: str = "perm") -> FiniteGroup:
+    """Cayley table of the permutation group generated by the given tuples
+    (images of 0..d-1), identity at index 0, elements in discovery order."""
+    d = len(generators[0])
+    identity = tuple(range(d))
+    elements = [identity]
+    index = {identity: 0}
+    for x in elements:  # grows while iterated: breadth-first closure
+        for g in generators:
+            y = tuple(g[x[i]] for i in range(d))
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    table = [[index[tuple(b[a[i]] for i in range(d))] for b in elements] for a in elements]
+    return FiniteGroup(table, label)
+
+
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+    """G x H with element (g, h) at index g * |H| + h."""
+    m = H.order
+    table = [[G.rows[a // m][b // m] * m + H.rows[a % m][b % m]
+              for b in range(G.order * m)] for a in range(G.order * m)]
+    return FiniteGroup(table, f"{G.label}x{H.label}")
+
+
+def cyclic_group_of_order(n: int) -> FiniteGroup:
+    """Z_n as addition mod n, for any n."""
+    i = np.arange(n)
+    return FiniteGroup((i[:, None] + i[None, :]) % n, f"Z{n}")
+
+
+def dihedral_group(m: int) -> FiniteGroup:
+    """D_2m with r^i s^e at index e * m + i, from r^i s^e * r^j s^f =
+    r^(i + (-1)^e j) s^(e + f)."""
+    e, i = np.divmod(np.arange(2 * m), m)
+    rot = (i[:, None] + np.where(e[:, None] == 1, -1, 1) * i[None, :]) % m
+    return FiniteGroup((e[:, None] + e[None, :]) % 2 * m + rot, f"D{2 * m}")

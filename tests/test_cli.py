@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from facnum import cli, lattice
 from facnum.cli import GroupSpec, main
 from facnum.errors import ParseError
 from facnum.groups import dihedral8
@@ -111,6 +117,20 @@ class TestF2Command:
         code, out, _ = run(capsys, "f2", f"table:{path}", "--verify")
         assert code == 0 and "hall: skipped" in out
 
+    def test_verify_counts_f2_once(self, capsys, monkeypatch):
+        calls = []
+        counted = lattice.f2_bruteforce
+
+        def counting(lat, **kwargs):
+            calls.append(len(lat))
+            return counted(lat, **kwargs)
+
+        monkeypatch.setattr(lattice, "f2_bruteforce", counting)
+        monkeypatch.setattr(cli, "f2_bruteforce", counting)
+        code, out, _ = run(capsys, "f2", "named:D8", "--verify")
+        assert code == 0 and "F2 = 41" in out
+        assert calls == [10]
+
     def test_invalid_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "f2", "abelian:p=4,type=1")
         assert code == 2 and "prime" in err
@@ -138,6 +158,29 @@ class TestSdCommand:
     def test_q8(self, capsys):
         code, out, _ = run(capsys, "sd", "named:Q8", "--format", "json")
         assert json.loads(out)["sd"] == "1/1"
+
+    def test_route_mismatch_exits_1_under_optimize(self):
+        # A down-list that loses a subgroup corrupts the member-F2 route only;
+        # the check must not be an assert, which python -O strips.
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, lattice
+            built = lattice.SubgroupLattice.down_lists.fget
+            def corrupted(lat):
+                down = list(built(lat))
+                top = lat.index_of_full
+                down[top] = down[top][:-1]
+                return down
+            lattice.SubgroupLattice.down_lists = property(corrupted)
+            sys.exit(cli.main(["sd", "named:D8"]))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "sd routes disagree" in proc.stderr
 
 
 class TestExploreCommand:

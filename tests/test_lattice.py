@@ -1,11 +1,18 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from facnum.errors import DomainError, ResourceLimitError
-from facnum.formulas import PartitionType, hall_mobius
+from facnum.formulas import (
+    PartitionType,
+    hall_mobius,
+    lattice_size_heisenberg_p3,
+    subgroup_count_rank2,
+    total_subgroups_elementary,
+)
 from facnum.groups import (
     build_abelian,
     cyclic_group,
@@ -35,8 +42,12 @@ from facnum.lattice import (
 )
 
 from helpers import (
+    cyclic_group_of_order,
+    dihedral_group,
+    direct_product,
     f2_by_product_sets,
     mobius_oracle,
+    permutation_group,
     permuting_pairs_by_product_sets,
     subgroups_by_subsets,
 )
@@ -68,6 +79,20 @@ class TestClosure:
         with pytest.raises(DomainError):
             closure(cyclic_group(2, 1), [5])
 
+    def test_extends_a_base_subgroup(self):
+        G = dihedral8()
+        rotations = closure(G, [1])
+        assert rotations.order == 4
+        assert closure(G, [4], base=rotations) == closure(G, [1, 4])
+        assert closure(G, [], base=rotations) == rotations
+
+    def test_non_normal_base_matches_closure_of_generators(self):
+        G = permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])  # S4
+        for a in range(1, G.order):
+            base = closure(G, [a])
+            for g in range(G.order):
+                assert closure(G, [g], base=base) == closure(G, [a, g])
+
 
 SMALL_GROUPS = [
     ("Z2xZ4", lambda: build_abelian(PartitionType(2, (1, 2)))),
@@ -79,6 +104,53 @@ SMALL_GROUPS = [
     ("D8", dihedral8),
     ("Q8", quaternion8),
     ("Z9", lambda: cyclic_group(3, 2)),
+]
+
+
+def relabeled(builder, seed):
+    def build():
+        G = builder()
+        rng = random.Random(seed)
+        return permute_elements(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+    return build
+
+
+def z8_semidirect(multiplier: int):
+    """Z8 x| Z2 with the involution acting as i -> multiplier * i: D16 (7),
+    the semidihedral group (3) and the modular group M16 (5)."""
+    return lambda: permutation_group(
+        [tuple((i + 1) % 8 for i in range(8)), tuple(multiplier * i % 8 for i in range(8))])
+
+
+# Orders that are not prime powers take the generic extension path.
+NON_PRIME_POWER = [
+    ("S3", lambda: permutation_group([(1, 0, 2), (1, 2, 0)], "S3")),
+    ("Z6", lambda: permutation_group([(1, 2, 3, 4, 5, 0)], "Z6")),
+    ("A4", lambda: permutation_group([(1, 2, 0, 3), (1, 0, 3, 2)], "A4")),
+    ("D12", lambda: permutation_group([(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)], "D12")),
+]
+
+# Groups of order <= 16, within reach of the subset oracle; the non-abelian
+# p-groups exercise the normalizer test.
+ORACLE_GROUPS = SMALL_GROUPS + NON_PRIME_POWER + [
+    ("Z1", lambda: cyclic_group(2, 0)),
+    ("Z2", lambda: cyclic_group(2, 1)),
+    ("Z4", lambda: cyclic_group(2, 2)),
+    ("Z16", lambda: cyclic_group(2, 4)),
+    ("Z7", lambda: cyclic_group(7, 1)),
+    ("Z13", lambda: cyclic_group(13, 1)),
+    ("Z2xZ8", lambda: build_abelian(PartitionType(2, (1, 3)))),
+    ("D16", z8_semidirect(7)),
+    ("SD16", z8_semidirect(3)),
+    ("M16", z8_semidirect(5)),
+    ("Z2xD8", lambda: direct_product(cyclic_group(2, 1), dihedral8())),
+    ("Z2xQ8", lambda: direct_product(cyclic_group(2, 1), quaternion8())),
+] + [
+    (f"{label}~{seed}", relabeled(builder, seed))
+    for label, builder in [("D8", dihedral8), ("Q8", quaternion8),
+                           ("Z4xZ4", SMALL_GROUPS[4][1]), ("A4", NON_PRIME_POWER[2][1]),
+                           ("D12", NON_PRIME_POWER[3][1]), ("M16", z8_semidirect(5))]
+    for seed in (1, 2)
 ]
 
 
@@ -100,7 +172,7 @@ class TestEnumeration:
         lat = enumerate_subgroups(heisenberg_p3(3))
         assert len(lat) == 19  # p^2 + 2p + 4
 
-    @pytest.mark.parametrize("label,builder", SMALL_GROUPS)
+    @pytest.mark.parametrize("label,builder", ORACLE_GROUPS)
     def test_exact_subgroup_sets_against_subset_oracle(self, label, builder):
         G = builder()
         lat = enumerate_subgroups(G)
@@ -127,6 +199,39 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_subgroups(elementary_abelian_group(2, 3), max_subgroups=5)
 
+    def test_cap_reports_progress_in_bounded_time(self):
+        G = elementary_abelian_group(2, 8)  # 417 199 subgroups
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match=r"after 1001 subgroups, the largest of order 4"):
+            enumerate_subgroups(G, max_subgroups=1000)
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("label,builder,size", [
+        ("E(125)", lambda: heisenberg_p3(5), lattice_size_heisenberg_p3(5)),
+        # M(p^3) is modular with the lattice of Z_p x Z_p^2: 2p + 4 members
+        ("M(125)", lambda: modular_p3(5), subgroup_count_rank2(5, 1, 2)),
+        ("Z27xZ27", lambda: build_abelian(PartitionType(3, (3, 3))),
+         subgroup_count_rank2(3, 3, 3)),
+        ("Z2^6", lambda: elementary_abelian_group(2, 6), total_subgroups_elementary(6, 2)),
+    ])
+    def test_sizes_against_closed_forms(self, label, builder, size):
+        assert len(enumerate_subgroups(builder())) == size
+
+    @pytest.mark.parametrize("label,builder,size", [
+        # D_2m has tau(m) + sigma(m) subgroups, Z_n has tau(n)
+        ("D60", lambda: dihedral_group(30), 8 + 72),
+        ("D200", lambda: dihedral_group(100), 9 + 217),
+        ("Z360", lambda: cyclic_group_of_order(360), 24),
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)]), 30),
+        ("A5", lambda: permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 59),
+    ])
+    def test_composite_orders_in_bounded_time(self, label, builder, size):
+        G = builder()
+        t0 = time.perf_counter()
+        assert len(enumerate_subgroups(G)) == size
+        assert time.perf_counter() - t0 < 20
+
     def test_inclusion_queries(self):
         lat = enumerate_subgroups(dihedral8())
         full = lat.index_of_full
@@ -134,6 +239,27 @@ class TestEnumeration:
         assert all(lat.leq(0, h) for h in range(len(lat)))
         assert lat.meet_index(full, 3) == 3
         assert lat.join_index(0, 3) == 3
+
+
+class TestContainment:
+    @pytest.mark.parametrize("label,builder", ORACLE_GROUPS + [
+        ("E27", lambda: heisenberg_p3(3)),
+        ("M27", lambda: modular_p3(3)),
+        ("Z2^5", lambda: elementary_abelian_group(2, 5)),
+        ("D60", lambda: dihedral_group(30)),
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+        ("Z60", lambda: cyclic_group_of_order(60)),
+    ])
+    def test_lists_against_leq_oracle(self, label, builder):
+        lat = enumerate_subgroups(builder())
+        m = len(lat)
+        for h in range(m):
+            above = [k for k in range(m) if lat.leq(h, k)]
+            below = [h] + [k for k in range(m) if k != h and lat.leq(k, h)]
+            assert lat.up_lists[h].tolist() == above
+            assert lat.down_lists[h].tolist() == below
+            assert lat.up_degrees[h] == len(above)
+            assert lat.down_degrees[h] == len(below)
 
 
 class TestMobius:
