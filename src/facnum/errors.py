@@ -3,9 +3,9 @@
 The CLI maps these onto distinct exit codes, so keep the split:
 input problems (ValidationError / DomainError / ParseError), resource-cap
 problems (ResourceLimitError) and two routes to one number that disagree
-(VerificationError).  Internal invariants that must never fail (exact
-divisions, presentation self-checks) use plain ``assert`` / AssertionError
-instead.
+or a named group that fails its defining relations (VerificationError).
+Internal invariants that must never fail (exact divisions) still use plain
+``assert`` / AssertionError.
 """
 
 
@@ -31,5 +31,6 @@ class ResourceLimitError(FacnumError, RuntimeError):
 
 
 class VerificationError(FacnumError, RuntimeError):
-    """Two independent routes to the same quantity gave different answers.
-    Raised explicitly, so the check survives ``python -O``."""
+    """Two independent routes to the same quantity gave different answers,
+    or a constructed group fails a relation it must satisfy.  Raised
+    explicitly, so the check survives ``python -O``."""

@@ -2,11 +2,24 @@
 
 A group of order n is an n x n table of element indices with the
 identity normalized to index 0.  Construction always runs the complete
-validation (identity laws, inverses, row/column permutations, full
-O(n^3) associativity), so downstream code can trust any FiniteGroup it
-is handed.  The named non-abelian families self-check their defining
+validation (identity laws, inverses, row/column permutations,
+associativity), so downstream code can trust any FiniteGroup it is
+handed.  The named non-abelian families self-check their defining
 relations on top of that; presentation bugs are the classic failure
 mode, so the realizations are verified rather than trusted.
+
+Associativity is decided exactly by Light's test (Clifford & Preston,
+The Algebraic Theory of Semigroups I, 1.2) in O(n^2 log n) lookups
+instead of n^3.  Call a passing when (xa)y = x(ay) for all x, y.  If a
+and b pass, so does ab: (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
+= x((ab)y).  The validator keeps R, the elements reached from the
+identity by right multiplication with passing generators.  R is closed
+under the product, contains the identity and, being part of a Latin
+square, is cancellative, so it is a subgroup.  While R != G it checks the
+least a outside R: a failing a names a witness triple (x, a, y); a
+passing a joins the generators and adds the coset Ra, which is disjoint
+from R (r a = r' would put a = r^-1 r' in R), so R at least doubles.
+After at most log2(n) checks R = G, and every element passes.
 """
 
 from __future__ import annotations
@@ -16,14 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ResourceLimitError, ValidationError
+from .errors import DomainError, ParseError, ResourceLimitError, ValidationError, VerificationError
 from .formulas import PartitionType, is_prime
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "FACNUM_MAX_ORDER"
 
-# keep chunk * order^2 around a few million entries during the associativity scan
-_ASSOC_CHUNK_ELEMS = 8_000_000
+# keep chunk * order * rank around a few million entries in build_abelian
+_CHUNK_ELEMS = 8_000_000
+# table entries per row block in Light's associativity test (1 MiB of int32)
+_LIGHT_BLOCK_ELEMS = 1 << 18
 
 
 def resolve_max_order(explicit: int | None = None) -> int:
@@ -46,6 +61,31 @@ def _check_order_cap(order: int, max_order: int | None) -> None:
             f"group order {order} exceeds the safety cap {cap} "
             f"(pass max_order or set {MAX_ORDER_ENV} to override)"
         )
+
+
+def _right_cosets(G: FiniteGroup, h_idx: np.ndarray, gens) -> np.ndarray:
+    """Right-coset labels of J = <H, gens> for the subgroup H with elements
+    h_idx: label[y] = k for y in the k-th coset Hx found (H itself is 0),
+    -1 outside J.  J is reached from H by right multiplication with gens,
+    since Hx*s is the coset H(xs); that needs gens to generate H (the
+    elements of H among gens do) unless each generator normalizes H.  With
+    gens = [g] normalizing H, the k-th coset is Hg^k.  Each coset costs one
+    gather of its representative's products and one gather of its
+    elements."""
+    t = G.table
+    gens = np.asarray(gens, dtype=np.int64)
+    label = np.full(G.order, -1, dtype=np.int64)
+    label[h_idx] = 0
+    reps = [0]
+    k = 0
+    while reps:
+        products = t[reps.pop(), gens]
+        for x in products[label[products] < 0].tolist():
+            if label[x] < 0:
+                k += 1
+                label[t[h_idx, x]] = k
+                reps.append(x)
+    return label
 
 
 class FiniteGroup:
@@ -100,19 +140,27 @@ class FiniteGroup:
         if not np.all(t[inverses, idx] == 0):
             i = int(np.argmax(t[inverses, idx] != 0))
             raise ValidationError(f"element {i} has no two-sided inverse")
-        # associativity, chunked over the first coordinate
-        chunk = max(1, _ASSOC_CHUNK_ELEMS // (n * n))
-        for start in range(0, n, chunk):
-            block = t[start:start + chunk]       # (c, n) rows of the table
-            left = t[block]                      # left[i,j,k]  = t[t[i,j], k]
-            right = np.take(block, t, axis=1)    # right[i,j,k] = t[i, t[j,k]]
-            if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)[0]
-                i, j, k = int(bad[0]) + start, int(bad[1]), int(bad[2])
-                raise ValidationError(
-                    f"associativity fails at triple ({i}, {j}, {k}): "
-                    f"(a*b)*c = {t[t[i, j], k]}, a*(b*c) = {t[i, t[j, k]]}"
-                )
+        # Light's test (module docstring): check (x*a)*y == x*(a*y) for the
+        # least a outside R, the subgroup the passing generators reach, until
+        # R = G; at most log2(n) checks, each in cache-sized row blocks
+        step = max(1, _LIGHT_BLOCK_ELEMS // n)
+        gens: list[int] = []
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        while not reached.all():
+            a = int(np.argmin(reached))
+            col, row = t[:, a], t[a]
+            for start in range(0, n, step):
+                left = t[col[start:start + step]]                   # (x*a)*y
+                right = np.take(t[start:start + step], row, axis=1)  # x*(a*y)
+                if not np.array_equal(left, right):
+                    i, y = (int(v) for v in np.argwhere(left != right)[0])
+                    raise ValidationError(
+                        f"associativity fails at triple ({i + start}, {a}, {y}): "
+                        f"(a*b)*c = {left[i, y]}, a*(b*c) = {right[i, y]}"
+                    )
+            gens.append(a)
+            reached = _right_cosets(self, np.flatnonzero(reached), gens) >= 0
         return inverses
 
     def validate(self) -> None:
@@ -147,10 +195,20 @@ class FiniteGroup:
             x = int(t[x, a])
 
     def element_orders(self) -> np.ndarray:
+        """Order of every element: one power step a^k -> a^(k+1) per gather,
+        over the elements whose power has not yet reached the identity."""
         if self._element_orders is None:
-            self._element_orders = np.array(
-                [self.element_order(a) for a in range(self.order)], dtype=np.int64
-            )
+            orders = np.empty(self.order, dtype=np.int64)
+            pending = np.arange(self.order)
+            power = pending
+            k = 1
+            while pending.size:
+                done = power == 0
+                orders[pending[done]] = k
+                pending, power = pending[~done], power[~done]
+                power = self.table[power, pending]
+                k += 1
+            self._element_orders = orders
         return self._element_orders
 
     # -- export ----------------------------------------------------------------
@@ -187,7 +245,7 @@ def build_abelian(ptype: PartitionType, *, label: str | None = None,
     idx = np.arange(n, dtype=np.int64)
     coords = (idx[:, None] // weights[None, :]) % moduli[None, :]
     table = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, _ASSOC_CHUNK_ELEMS // (n * k))
+    chunk = max(1, _CHUNK_ELEMS // (n * k))
     for start in range(0, n, chunk):
         s = (coords[start:start + chunk, None, :] + coords[None, :, :]) % moduli
         table[start:start + chunk] = s @ weights
@@ -214,6 +272,12 @@ def elementary_abelian_group(p: int, n: int, *, max_order: int | None = None) ->
     return build_abelian(t, label=label, max_order=max_order)
 
 
+def _self_check(G: FiniteGroup, ok: bool, relation: str) -> None:
+    """A named group's defining relation, checked so that python -O keeps it."""
+    if not ok:
+        raise VerificationError(f"{G.label} self-check failed: {relation}")
+
+
 def dihedral8() -> FiniteGroup:
     """D8 = <r, s | r^4 = s^2 = 1, s r s = r^-1>; element (a, b) = r^a s^b
     at index a + 4b."""
@@ -227,9 +291,9 @@ def dihedral8() -> FiniteGroup:
                     table[a1 + 4 * b1][a2 + 4 * b2] = a + 4 * b
     G = FiniteGroup(table, "D8")
     r, s = 1, 4
-    assert G.element_order(r) == 4 and G.element_order(s) == 2
-    assert G.mult(G.mult(s, r), s) == G.inv(r)
-    assert not G.is_commutative
+    _self_check(G, G.element_order(r) == 4 and G.element_order(s) == 2, "r^4 = s^2 = 1")
+    _self_check(G, G.mult(G.mult(s, r), s) == G.inv(r), "s r s = r^-1")
+    _self_check(G, not G.is_commutative, "non-abelian")
     return G
 
 
@@ -249,9 +313,9 @@ def quaternion8() -> FiniteGroup:
                     table[a1 + 4 * b1][a2 + 4 * b2] = a + 4 * b
     G = FiniteGroup(table, "Q8")
     x, y = 1, 4
-    assert G.mult(x, x) == G.mult(y, y)
-    assert G.mult(G.mult(G.inv(y), x), y) == G.inv(x)
-    assert not G.is_commutative
+    _self_check(G, G.mult(x, x) == G.mult(y, y), "x^2 = y^2")
+    _self_check(G, G.mult(G.mult(G.inv(y), x), y) == G.inv(x), "y^-1 x y = x^-1")
+    _self_check(G, not G.is_commutative, "non-abelian")
     return G
 
 
@@ -282,13 +346,14 @@ def modular_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     bnew = (B1 + B2) % p
     G = FiniteGroup((anew + p2 * bnew).astype(np.int32), f"M({n})", max_order=max_order)
     x, y = 1, p2
-    assert G.element_order(x) == p2 and G.element_order(y) == p
+    _self_check(G, G.element_order(x) == p2 and G.element_order(y) == p,
+                "x^(p^2) = y^p = 1")
     conj = G.mult(G.mult(G.inv(y), x), y)
     xp1 = 0
     for _ in range(p + 1):
         xp1 = G.mult(xp1, x)
-    assert conj == xp1, "relation y^-1 x y = x^(p+1) failed"
-    assert not G.is_commutative
+    _self_check(G, conj == xp1, "y^-1 x y = x^(p+1)")
+    _self_check(G, not G.is_commutative, "non-abelian")
     return G
 
 
@@ -320,13 +385,12 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     b = (B1 + B2) % p
     c = (C1 + C2 + A1 * B2) % p
     G = FiniteGroup((a * p * p + b * p + c).astype(np.int32), f"E({n})", max_order=max_order)
-    orders = G.element_orders()
-    assert np.all(orders[1:] == p), "E(p^3) must have exponent p"
+    _self_check(G, bool(np.all(G.element_orders()[1:] == p)), "exponent p")
     x, y = p * p, p  # (1,0,0) and (0,1,0)
     comm = G.mult(G.mult(G.inv(x), G.inv(y)), G.mult(x, y))
-    assert comm != 0 and G.element_order(comm) == p
-    assert all(G.mult(comm, g) == G.mult(g, comm) for g in range(n)), "[x,y] must be central"
-    assert not G.is_commutative
+    _self_check(G, comm != 0 and G.element_order(comm) == p, "[x, y] of order p")
+    _self_check(G, np.array_equal(G.table[comm], G.table[:, comm]), "[x, y] central")
+    _self_check(G, not G.is_commutative, "non-abelian")
     return G
 
 
@@ -397,12 +461,17 @@ def parse_cayley_table(text: str, *, label: str = "table",
         if len(fields) != n:
             raise ParseError(f"row {i}: expected {n} entries, found {len(fields)}")
         try:
-            row = [int(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"row {i}: non-integer entry") from exc
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise ParseError(f"row {i}, column {j}: entry {v} out of range [0, {n})")
+            row = np.array(fields, dtype=np.int64)
+        except (ValueError, OverflowError):
+            # numpy reads what int() reads, short of int64 overflow
+            try:
+                row = np.array([int(f) for f in fields], dtype=object)
+            except ValueError as exc:
+                raise ParseError(f"row {i}: non-integer entry") from exc
+        bad = np.argwhere((row < 0) | (row >= n))
+        if bad.size:
+            j = int(bad[0, 0])
+            raise ParseError(f"row {i}, column {j}: entry {row[j]} out of range [0, {n})")
         table[i] = row
 
     idx = np.arange(n, dtype=np.int32)
@@ -484,7 +553,10 @@ def quotient(G: FiniteGroup, N, *, label: str | None = None) -> FiniteGroup:
     qtable = coset_id[t[np.ix_(reps_arr, reps_arr)]].astype(np.int32)
     qlabel = label or f"{G.label}/(order-{k} subgroup)"
     Q = FiniteGroup(qtable, qlabel)
-    assert Q.order * k == G.order
+    if Q.order * k != G.order:
+        raise VerificationError(
+            f"|G/N| * |N| = {Q.order} * {k}, but |G| = {G.order}"
+        )
     return Q
 
 

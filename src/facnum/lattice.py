@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, VerificationError
 from .formulas import hall_mobius, is_prime
-from .groups import FiniteGroup, is_elementary_abelian, prime_power, quotient
+from .groups import FiniteGroup, _right_cosets, is_elementary_abelian, prime_power, quotient
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
@@ -61,30 +61,6 @@ def _unpack(bits: int, n: int) -> np.ndarray:
     """Boolean element mask of a bitset over n elements."""
     raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def _right_cosets(G: FiniteGroup, h_idx: np.ndarray, gens) -> np.ndarray:
-    """Right-coset labels of J = <H, gens> for the subgroup H with elements
-    h_idx: label[y] = k for y in the k-th coset Hx found (H itself is 0),
-    -1 outside J.  J is reached from H by right multiplication with gens,
-    since Hx*s is the coset H(xs); that needs the elements of H among gens
-    unless each generator normalizes H.  With gens = [g] normalizing H, the
-    k-th coset is Hg^k.  Each coset costs one gather of its
-    representative's products and one gather of its elements."""
-    t = G.table
-    gens = np.asarray(gens, dtype=np.int64)
-    label = np.full(G.order, -1, dtype=np.int64)
-    label[h_idx] = 0
-    reps = [0]
-    k = 0
-    while reps:
-        products = t[reps.pop(), gens]
-        for x in products[label[products] < 0].tolist():
-            if label[x] < 0:
-                k += 1
-                label[t[h_idx, x]] = k
-                reps.append(x)
-    return label
 
 
 def closure(G: FiniteGroup, seed: Iterable[int], base: Subgroup = Subgroup(1, 1)) -> Subgroup:
@@ -135,6 +111,7 @@ class SubgroupLattice:
         self._down: list[np.ndarray] | None = None
         self._up_degrees: np.ndarray | None = None
         self._down_degrees: np.ndarray | None = None
+        self._mobius_top: MobiusTable | None = None
         self._join_memo: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -245,6 +222,13 @@ class SubgroupLattice:
         """down_degrees[h] = number of lattice members inside H = |L(H)|."""
         self._ensure_containment()
         return self._down_degrees
+
+    @property
+    def mobius_top(self) -> MobiusTable:
+        """mu(H, G) for every member, computed once per lattice."""
+        if self._mobius_top is None:
+            self._mobius_top = mobius_to_top(self)
+        return self._mobius_top
 
     def maximal_indices(self) -> list[int]:
         """Members covered only by the full group."""
@@ -675,7 +659,7 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
     m = len(lat)
     report = InversionReport(label=G.label, order=G.order, abelian=G.is_commutative,
                              f2=f2_bruteforce(lat, threads=threads), eq1=0)
-    mu_top = mobius_to_top(lat)
+    mu_top = lat.mobius_top
     down = lat.down_lists
     dd = [int(v) for v in lat.down_degrees]
 
@@ -794,7 +778,7 @@ def verify_hall(G: FiniteGroup, *, lattice: SubgroupLattice | None = None) -> Ha
             raise DomainError(f"order {G.order} is not a prime power")
         p, k = pk
     lat = lattice if lattice is not None else enumerate_subgroups(G)
-    mu1G = mobius_to_top(lat)[0]
+    mu1G = lat.mobius_top[0]
     elementary, _, _ = is_elementary_abelian(G)
     expected = hall_mobius(k, p, elementary)
     return HallReport(label=G.label, order=G.order, p=p, n=k,
@@ -820,7 +804,7 @@ def lattice_document(lat: SubgroupLattice, *, include_mobius: bool = True,
         ],
     }
     if include_mobius:
-        doc["mobius_to_top"] = [str(v) for v in mobius_to_top(lat).values]
+        doc["mobius_to_top"] = [str(v) for v in lat.mobius_top.values]
     if include_f2:
         doc["f2"] = str(f2_bruteforce(lat, threads=threads))
     if include_sd:

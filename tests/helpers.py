@@ -108,3 +108,30 @@ def dihedral_group(m: int) -> FiniteGroup:
     e, i = np.divmod(np.arange(2 * m), m)
     rot = (i[:, None] + np.where(e[:, None] == 1, -1, 1) * i[None, :]) % m
     return FiniteGroup((e[:, None] + e[None, :]) % 2 * m + rot, f"D{2 * m}")
+
+
+def associative_bruteforce(table) -> bool:
+    """Whether (ab)c == a(bc) for all n^3 triples, by one full gather."""
+    t = np.asarray(table)
+    return bool(np.array_equal(t[t], np.take(t, t, axis=1)))
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and first column are
+    0..n-1 in order, filled cell by cell in row-major order."""
+    square = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in square]
+            return
+        i, j = cells[k]
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                yield from fill(k + 1)
+        square[i][j] = -1
+
+    yield from fill(0)

@@ -19,6 +19,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script under python -O with the package on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestGroupSpec:
     @pytest.mark.parametrize("text", [
         "abelian:p=2,type=1,2",
@@ -131,6 +140,20 @@ class TestF2Command:
         assert code == 0 and "F2 = 41" in out
         assert calls == [10]
 
+    def test_verify_computes_mobius_once(self, capsys, monkeypatch):
+        # verify_inversion and verify_hall both read mu(H, G) of one lattice
+        calls = []
+        computed = lattice.mobius_to_top
+
+        def counting(lat):
+            calls.append(len(lat))
+            return computed(lat)
+
+        monkeypatch.setattr(lattice, "mobius_to_top", counting)
+        code, out, _ = run(capsys, "f2", "named:D8", "--verify")
+        assert code == 0 and "verify hall: pass" in out
+        assert calls == [10]
+
     def test_invalid_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "f2", "abelian:p=4,type=1")
         assert code == 2 and "prime" in err
@@ -174,13 +197,22 @@ class TestSdCommand:
             lattice.SubgroupLattice.down_lists = property(corrupted)
             sys.exit(cli.main(["sd", "named:D8"]))
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_optimized(script)
         assert proc.returncode == 1, proc.stderr
         assert "sd routes disagree" in proc.stderr
+
+    def test_broken_self_check_exits_1_under_optimize(self):
+        # Q8 with a wrong inverse fails y^-1 x y = x^-1; python -O must
+        # keep that check
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, groups
+            groups.FiniteGroup.inv = lambda self, a: 0
+            sys.exit(cli.main(["f2", "named:Q8"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "Q8 self-check failed: y^-1 x y = x^-1" in proc.stderr
 
 
 class TestExploreCommand:

@@ -1,4 +1,7 @@
 import io
+import random
+import re
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from facnum.errors import (
     ParseError,
     ResourceLimitError,
     ValidationError,
+    VerificationError,
 )
 from facnum.formulas import PartitionType
 from facnum.groups import (
@@ -27,6 +31,16 @@ from facnum.groups import (
     quaternion8,
     quotient,
 )
+
+from helpers import (
+    associative_bruteforce,
+    cyclic_group_of_order,
+    dihedral_group,
+    direct_product,
+    permutation_group,
+    reduced_latin_squares,
+)
+from test_lattice import ORACLE_GROUPS, relabeled
 
 
 class TestBuildAbelian:
@@ -111,6 +125,44 @@ class TestNamedFamilies:
             build_named("Sporadic")
 
 
+    @pytest.mark.parametrize("builder,attr,broken,relation", [
+        (dihedral8, "element_order", lambda self, a: 0, "r^4 = s^2 = 1"),
+        (quaternion8, "inv", lambda self, a: 0, "y^-1 x y = x^-1"),
+        (lambda: modular_p3(3), "inv", lambda self, a: 0, "y^-1 x y = x^(p+1)"),
+        (lambda: heisenberg_p3(3), "element_orders",
+         lambda self: np.zeros(self.order, dtype=np.int64), "exponent p"),
+    ], ids=["D8", "Q8", "M27", "E27"])
+    def test_broken_relation_raises(self, monkeypatch, builder, attr, broken, relation):
+        monkeypatch.setattr(FiniteGroup, attr, broken)
+        with pytest.raises(VerificationError, match=re.escape(f"self-check failed: {relation}")):
+            builder()
+
+
+# every group the lattice tests build, plus larger ones whose element
+# orders run long (Z_1024 relabelled) or mix primes
+ELEMENT_ORDER_GROUPS = ORACLE_GROUPS + [
+    ("E27", lambda: heisenberg_p3(3)),
+    ("M27", lambda: modular_p3(3)),
+    ("E125", lambda: heisenberg_p3(5)),
+    ("M125", lambda: modular_p3(5)),
+    ("Z27xZ27", lambda: build_abelian(PartitionType(3, (3, 3)))),
+    ("Z2^5", lambda: elementary_abelian_group(2, 5)),
+    ("D60", lambda: dihedral_group(30)),
+    ("Z360", lambda: cyclic_group_of_order(360)),
+    ("A5", lambda: permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], "A5")),
+    ("Z1024~1", relabeled(lambda: cyclic_group(2, 10), 1)),
+]
+
+
+@pytest.mark.parametrize("builder", [b for _, b in ELEMENT_ORDER_GROUPS],
+                         ids=[label for label, _ in ELEMENT_ORDER_GROUPS])
+def test_element_orders_match_element_order(builder):
+    G = builder()
+    orders = G.element_orders()
+    assert orders.dtype == np.int64
+    assert orders.tolist() == [G.element_order(a) for a in range(G.order)]
+
+
 # a latin square with identity 0 and two-sided inverses, not associative
 NONASSOC_LOOP_5 = [
     [0, 1, 2, 3, 4],
@@ -137,6 +189,104 @@ class TestValidation:
     def test_validate_rerunnable(self):
         G = dihedral8()
         G.validate()
+
+
+def _failing_triple(message: str) -> tuple[int, int, int]:
+    match = re.match(r"associativity fails at triple \((\d+), (\d+), (\d+)\): ", message)
+    assert match, message
+    return tuple(int(v) for v in match.groups())
+
+
+def _check_light_against_oracle(table) -> bool:
+    """FiniteGroup accepts the table iff the n^3 oracle does; a rejection
+    names a triple that really fails (or an element that really has no
+    two-sided inverse, the check that runs first).  Returns acceptance."""
+    t = np.asarray(table)
+    try:
+        FiniteGroup(t)
+    except ValidationError as exc:
+        assert not associative_bruteforce(t)
+        message = str(exc)
+        inverse = re.fullmatch(r"element (\d+) has no two-sided inverse", message)
+        if inverse:
+            a = int(inverse.group(1))
+            assert not any(t[a, b] == 0 and t[b, a] == 0 for b in range(len(t)))
+        else:
+            x, a, y = _failing_triple(message)
+            assert t[t[x, a], y] != t[x, t[a, y]]
+        return False
+    assert associative_bruteforce(t)
+    return True
+
+
+class TestLightAssociativity:
+    def test_every_reduced_latin_square_up_to_order_6(self):
+        # reduced Latin squares of orders 1..6: 1, 1, 1, 4, 56, 9408; group
+        # tables among them: 1, 1, 1, 4, 6 (Z5), 60 (Z6) + 20 (S3)
+        counts, accepted = [], []
+        for n in range(1, 7):
+            squares = list(reduced_latin_squares(n))
+            counts.append(len(squares))
+            accepted.append(sum(_check_light_against_oracle(sq) for sq in squares))
+        assert counts == [1, 1, 1, 4, 56, 9408]
+        assert accepted == [1, 1, 1, 4, 6, 80]
+
+    def test_corrupted_group_tables(self):
+        # switching an intercalate (a 2x2 subsquare) away from the identity's
+        # row and column keeps a Latin square with identity 0
+        rng = random.Random(7)
+        builders = [dihedral8, quaternion8, lambda: elementary_abelian_group(2, 4),
+                    lambda: build_abelian(PartitionType(2, (1, 2))),
+                    lambda: direct_product(cyclic_group(2, 1), dihedral8()),
+                    lambda: permutation_group([(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
+                    lambda: heisenberg_p3(3)]
+        switched = 0
+        for builder in builders:
+            t = builder().table
+            n = len(t)
+            for _ in range(40):
+                a, b = rng.sample(range(1, n), 2)
+                c = rng.randrange(1, n)
+                d = int(np.flatnonzero(t[a] == t[b, c])[0])
+                if d == 0 or t[b, d] != t[a, c]:
+                    continue
+                bad = t.copy()
+                bad[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
+                switched += 1
+                assert not _check_light_against_oracle(bad)
+        assert switched > 50
+
+    def test_corrupted_table_in_a_late_row_block(self):
+        # at order 1024 Light's test gathers 256 rows at a time; an
+        # intercalate switched in the last rows must still be found
+        t = elementary_abelian_group(2, 10).table
+        a, b, c = 1000, 1001, 1002
+        d = int(t[t[a, b], c])  # in Z2^n: a+d = b+c and b+d = a+c
+        bad = t.copy()
+        bad[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
+        with pytest.raises(ValidationError) as info:  # too large for the n^3 oracle
+            FiniteGroup(bad)
+        x, a, y = _failing_triple(str(info.value))
+        assert bad[bad[x, a], y] != bad[x, bad[a, y]]
+
+    def test_witness_of_nonassociative_loop(self):
+        t = np.array(NONASSOC_LOOP_5)
+        with pytest.raises(ValidationError) as info:
+            FiniteGroup(t)
+        x, a, y = _failing_triple(str(info.value))
+        assert t[t[x, a], y] != t[x, t[a, y]]
+
+    @pytest.mark.parametrize("builder", [
+        lambda: heisenberg_p3(13),
+        lambda: modular_p3(13),
+        lambda: cyclic_group(2, 12),
+        lambda: elementary_abelian_group(2, 12),  # log2(n) generators to check
+    ], ids=["E(2197)", "M(2197)", "Z4096", "Z2^12"])
+    def test_orders_near_the_cap_in_bounded_time(self, builder):
+        start = time.perf_counter()
+        G = builder()
+        assert G.order >= 2197
+        assert time.perf_counter() - start < 15
 
 
 CYCLIC6_TEXT = "6\n" + "\n".join(
@@ -174,6 +324,34 @@ class TestCayleyTableIO:
             parse_cayley_table("2\n0 1 1\n1 0\n")
         with pytest.raises(ParseError):
             parse_cayley_table("2\n0 7\n1 0\n")
+
+    @pytest.mark.parametrize("entry,outcome", [
+        ("+1", None),  # int() reads a sign, a leading zero and an underscore
+        ("01", None),
+        ("0_1", None),
+        ("1_000", "row 0, column 1: entry 1000 out of range [0, 2)"),
+        ("99999999999999999999",
+         "row 0, column 1: entry 99999999999999999999 out of range [0, 2)"),
+        ("-1", "row 0, column 1: entry -1 out of range [0, 2)"),
+        ("2", "row 0, column 1: entry 2 out of range [0, 2)"),
+        ("1.0", "row 0: non-integer entry"),
+        ("1e0", "row 0: non-integer entry"),
+        ("0x1", "row 0: non-integer entry"),
+    ])
+    def test_entry_syntax(self, entry, outcome):
+        text = f"2\n0 {entry}\n1 0\n"
+        if outcome is None:
+            assert parse_cayley_table(text).table.tolist() == [[0, 1], [1, 0]]
+        else:
+            with pytest.raises(ParseError, match=f"^{re.escape(outcome)}$"):
+                parse_cayley_table(text)
+
+    def test_first_bad_row_decides_the_error(self):
+        # row 0 is out of range and row 1 is short: rows are read in order
+        with pytest.raises(ParseError, match=r"^row 0, column 1: entry 5 out of range \[0, 2\)$"):
+            parse_cayley_table("2\n0 5\n1\n")
+        with pytest.raises(ParseError, match=r"^row 1: expected 2 entries, found 1$"):
+            parse_cayley_table("2\n0 1\n1\n")
 
     def test_non_associative_table_cites_witness(self):
         text = "5\n" + "\n".join(
