@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, VerificationError
 from .formulas import (
     PartitionType,
     f2_cyclic,
@@ -187,7 +187,10 @@ def check_theorem5(p: int, n: int, *, threads: int | None = None,
     elem_label = entries[0].label
     cyclic_label = f"Z{p ** n}"
     elem_value = values[elem_label]
-    assert elem_value == f2_elementary(n, p), "lattice and closed form disagree"
+    closed = f2_elementary(n, p)
+    if elem_value != closed:
+        raise VerificationError(f"brute-force F2 = {elem_value} of {elem_label} disagrees "
+                                f"with the closed form f2_elementary({n}, {p}) = {closed}")
     problems = []
     for label, v in values.items():
         if label != elem_label and v >= elem_value:
@@ -384,9 +387,10 @@ def open_problem_table(p: int, n: int, *, threads: int | None = None,
             closed = f2_elementary(n, p)
         else:
             closed = None
-        assert closed is None or closed == f2, (
-            f"closed form {closed} disagrees with brute force {f2} for {t.label()}"
-        )
+        if closed is not None and closed != f2:
+            raise VerificationError(
+                f"closed form {closed} disagrees with brute force {f2} for {t.label()}"
+            )
         rows.append({
             "nondecreasing": list(pf.nondecreasing),
             "nonincreasing": list(pf.nonincreasing),

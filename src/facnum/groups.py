@@ -38,6 +38,7 @@ MAX_ORDER_ENV = "FACNUM_MAX_ORDER"
 # keep chunk * order * rank around a few million entries in build_abelian
 _CHUNK_ELEMS = 8_000_000
 # table entries per row block in Light's associativity test (1 MiB of int32)
+# and in the normality check of quotient
 _LIGHT_BLOCK_ELEMS = 1 << 18
 
 
@@ -61,6 +62,17 @@ def _check_order_cap(order: int, max_order: int | None) -> None:
             f"group order {order} exceeds the safety cap {cap} "
             f"(pass max_order or set {MAX_ORDER_ENV} to override)"
         )
+
+
+def _pack(mask: np.ndarray) -> int:
+    """Bitset of a boolean element mask."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """Boolean element mask of a bitset over n elements."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def _right_cosets(G: FiniteGroup, h_idx: np.ndarray, gens) -> np.ndarray:
@@ -525,24 +537,24 @@ def quotient(G: FiniteGroup, N, *, label: str | None = None) -> FiniteGroup:
     """Quotient of G by a normal subgroup N (a Subgroup, bitmask int, or an
     iterable of element indices).  Cosets are numbered in order of first
     appearance, so the identity coset is index 0."""
-    bits = _subgroup_bits(G, N)
-    n_idx = np.array([i for i in range(G.order) if (bits >> i) & 1], dtype=np.int64)
+    in_n = _unpack(_subgroup_bits(G, N), G.order)
+    n_idx = np.flatnonzero(in_n)
     k = len(n_idx)
     t = G.table
     # N must be a subgroup to begin with
-    prods = t[np.ix_(n_idx, n_idx)]
-    if not all((bits >> int(v)) & 1 for v in np.unique(prods)):
+    if not in_n[t[np.ix_(n_idx, n_idx)]].all():
         raise DomainError("the given element set is not closed under the group operation")
     if G.order % k:
         raise DomainError("subgroup size does not divide the group order")
-    # normality: g N g^-1 == N for every g
-    for g in range(G.order):
-        conj = t[t[g, n_idx], int(G.inverses[g])]
-        conj_bits = 0
-        for v in conj.tolist():
-            conj_bits |= 1 << v
-        if conj_bits != bits:
-            raise DomainError(f"subgroup is not normal: conjugation by element {g} moves it")
+    # normality: g N g^-1 inside N (so equal to it) for every g, in row blocks
+    if not G.is_commutative:
+        step = max(1, _LIGHT_BLOCK_ELEMS // k)
+        for s in range(0, G.order, step):
+            g = np.arange(s, min(s + step, G.order))
+            moved = ~in_n[t[t[g[:, None], n_idx], G.inverses[g][:, None]]].all(axis=1)
+            if moved.any():
+                raise DomainError(f"subgroup is not normal: conjugation by element "
+                                  f"{s + int(moved.argmax())} moves it")
     coset_id = np.full(G.order, -1, dtype=np.int64)
     reps: list[int] = []
     for x in range(G.order):

@@ -26,13 +26,16 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, VerificationError
 from .formulas import hall_mobius, is_prime
-from .groups import FiniteGroup, _right_cosets, is_elementary_abelian, prime_power, quotient
+from .groups import (FiniteGroup, _pack, _right_cosets, _unpack, is_elementary_abelian,
+                     prime_power, quotient)
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
-# target element count per temporary block in pair counting and in the
-# coset gathers of the index-p extension
+# target element count per temporary block in the coset gathers of the
+# index-p extension
 _BLOCK_ELEMS = 4_000_000
+# uint64 cells per temporary block of the pair kernel: 2 MiB, one core's L2
+_PAIR_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -50,17 +53,6 @@ class Subgroup:
             out.append(low.bit_length() - 1)
             b ^= low
         return out
-
-
-def _pack(mask: np.ndarray) -> int:
-    """Bitset of a boolean element mask."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _unpack(bits: int, n: int) -> np.ndarray:
-    """Boolean element mask of a bitset over n elements."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def closure(G: FiniteGroup, seed: Iterable[int], base: Subgroup = Subgroup(1, 1)) -> Subgroup:
@@ -123,10 +115,6 @@ class SubgroupLattice:
             return self._index[bits]
         except KeyError:
             raise KeyError("not a member of the lattice") from None
-
-    def member_indices(self, h: int) -> np.ndarray:
-        """Element indices of member h, sorted."""
-        return np.flatnonzero(np.unpackbits(self.words[h].view(np.uint8), bitorder="little"))
 
     def leq(self, i: int, j: int) -> bool:
         """Inclusion H_i <= H_j, O(words)."""
@@ -399,7 +387,7 @@ class MobiusTable:
         up = self.lattice.up_lists
         top = self.lattice.index_of_full
         for h in range(len(self.values)):
-            total = sum(self.values[int(k)] for k in up[h])
+            total = sum(map(self.values.__getitem__, up[h].tolist()))
             if total != (1 if h == top else 0):
                 return False
         return True
@@ -413,7 +401,7 @@ def mobius_to_top(lat: SubgroupLattice) -> MobiusTable:
     mu = [0] * m
     mu[m - 1] = 1
     for h in range(m - 2, -1, -1):
-        mu[h] = -sum(mu[int(k)] for k in up[h] if int(k) != h)
+        mu[h] = -sum(map(mu.__getitem__, up[h][1:].tolist()))  # up[h][0] is h
     return MobiusTable(lat, tuple(mu))
 
 
@@ -424,7 +412,7 @@ def mobius_from_bottom(lat: SubgroupLattice) -> tuple[int, ...]:
     mu = [0] * m
     mu[0] = 1
     for h in range(1, m):
-        mu[h] = -sum(mu[int(k)] for k in down[h] if int(k) != h)
+        mu[h] = -sum(map(mu.__getitem__, down[h][1:].tolist()))  # down[h][0] is h
     return tuple(mu)
 
 
@@ -448,15 +436,30 @@ def _pair_tasks(orders: np.ndarray, full_order: int):
             yield classes[da], classes[db], target, da == db
 
 
-def _count_block(words: np.ndarray, A: np.ndarray, B: np.ndarray, target: int) -> int:
-    wa, wb = words[A], words[B]
-    step = max(1, _BLOCK_ELEMS // max(1, wb.shape[0] * wb.shape[1]))
-    total = 0
-    for s in range(0, wa.shape[0], step):
-        inter = wa[s:s + step, None, :] & wb[None, :, :]
-        counts = np.bitwise_count(inter).sum(axis=2, dtype=np.int64)
-        total += int((counts == target).sum())
-    return total
+def _popcount_dtype(bits: int) -> np.dtype:
+    """Smallest unsigned dtype that holds a popcount of up to `bits` bits."""
+    return np.min_scalar_type(bits)
+
+
+def _pair_hits(words: np.ndarray, A: np.ndarray, B: np.ndarray, target: int):
+    """The one pair kernel: yields (s, hit) per row block, where hit[i, j]
+    says |A[s+i] ∩ B[j]| == target.  Words lie on the leading axis, so the
+    popcount sum adds whole contiguous (rows, |B|) slabs."""
+    wa = np.ascontiguousarray(words[A].T)
+    wb = np.ascontiguousarray(words[B].T)
+    nwords = wa.shape[0]
+    acc = _popcount_dtype(64 * nwords)
+    step = max(1, _PAIR_CELLS // (nwords * wb.shape[1]))
+    for s in range(0, wa.shape[1], step):
+        counts = np.bitwise_count(wa[:, s:s + step, None] & wb[:, None, :]).sum(axis=0, dtype=acc)
+        yield s, counts == target
+
+
+def _ordered_pairs(words: np.ndarray, task) -> int:
+    """Ordered factorization pairs of one task of _pair_tasks."""
+    A, B, target, same = task
+    count = sum(int(np.count_nonzero(hit)) for _, hit in _pair_hits(words, A, B, target))
+    return count if same else 2 * count
 
 
 def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:
@@ -464,38 +467,25 @@ def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:
     exact criterion |H|*|K| == |G|*|H∩K|.  Pairs are grouped by the order
     pair (|H|, |K|) with the necessary condition |H||K| >= |G| applied first.
     """
-    full_order = lat.group.order
-    words = lat.words
-    tasks = list(_pair_tasks(lat.orders, full_order))
-
-    def run(task) -> int:
-        A, B, target, same = task
-        count = _count_block(words, A, B, target)
-        return count if same else 2 * count
-
+    run = partial(_ordered_pairs, lat.words)
+    tasks = list(_pair_tasks(lat.orders, lat.group.order))
     if threads and threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return sum(pool.map(run, tasks))
-    return sum(run(task) for task in tasks)
+    return sum(map(run, tasks))
 
 
 def list_factorizations(lat: SubgroupLattice) -> list[tuple[int, int]]:
     """Every ordered factorization pair as (member index, member index),
     sorted; its length equals f2_bruteforce."""
-    full_order = lat.group.order
-    words = lat.words
     pairs: list[tuple[int, int]] = []
-    for A, B, target, same in _pair_tasks(lat.orders, full_order):
-        wa, wb = words[A], words[B]
-        step = max(1, _BLOCK_ELEMS // max(1, wb.shape[0] * wb.shape[1]))
-        for s in range(0, wa.shape[0], step):
-            inter = wa[s:s + step, None, :] & wb[None, :, :]
-            counts = np.bitwise_count(inter).sum(axis=2, dtype=np.int64)
-            ii, jj = np.nonzero(counts == target)
-            for i, j in zip(A[s + ii].tolist(), B[jj].tolist()):
-                pairs.append((i, j))
-                if not same:
-                    pairs.append((j, i))
+    for A, B, target, same in _pair_tasks(lat.orders, lat.group.order):
+        for s, hit in _pair_hits(lat.words, A, B, target):
+            ii, jj = np.nonzero(hit)
+            i, j = A[s + ii].tolist(), B[jj].tolist()
+            pairs += zip(i, j)
+            if not same:
+                pairs += zip(j, i)
     pairs.sort()
     return pairs
 
@@ -504,14 +494,8 @@ def f2_of_member(lat: SubgroupLattice, h: int) -> int:
     """Number of ordered pairs (A, B) of members with A, B <= H and AB = H,
     decided inside the lattice (no group reconstruction)."""
     down = lat.down_lists[h]
-    words = lat.words[down]
-    orders = lat.orders[down]
-    target_order = int(lat.orders[h])
-    total = 0
-    for A, B, target, same in _pair_tasks(orders, target_order):
-        count = _count_block(words, A, B, target)
-        total += count if same else 2 * count
-    return total
+    run = partial(_ordered_pairs, lat.words[down])
+    return sum(map(run, _pair_tasks(lat.orders[down], int(lat.orders[h]))))
 
 
 def permuting_pairs(lat: SubgroupLattice) -> int:
@@ -568,29 +552,6 @@ def frattini_index(lat: SubgroupLattice) -> int:
 # ---------------------------------------------------------------------------
 # Identity verification reports
 # ---------------------------------------------------------------------------
-
-def _member_elementary(lat: SubgroupLattice, h: int) -> tuple[bool, int | None, int]:
-    """Whether member h is elementary abelian (inside a group whose element
-    orders are known), with its (p, n)."""
-    order = int(lat.orders[h])
-    if order == 1:
-        return True, None, 0
-    pk = prime_power(order)
-    if pk is None:
-        return False, None, 0
-    p, k = pk
-    elem_orders = lat.group.element_orders()
-    idx = lat.member_indices(h)
-    ok = bool(np.all(elem_orders[idx[1:]] == p))
-    if not ok:
-        return False, None, 0
-    if not lat.group.is_commutative:
-        t = lat.group.table
-        for a in idx.tolist():
-            if not np.array_equal(t[a, idx], t[idx, a]):
-                return False, None, 0
-    return True, p, k
-
 
 @dataclass
 class InversionReport:
@@ -661,7 +622,7 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
                              f2=f2_bruteforce(lat, threads=threads), eq1=0)
     mu_top = lat.mobius_top
     down = lat.down_lists
-    dd = [int(v) for v in lat.down_degrees]
+    dd = lat.down_degrees.tolist()
 
     if G.is_commutative and m > sd_cap:
         report.sd_mode = "abelian (sd = 1)"
@@ -670,7 +631,7 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
         f2m = [f2_of_member(lat, h) for h in range(m)]
         # sd(H) * |L(H)|^2 == sum of F2 over members of H, exactly
         report.eq1 = sum(
-            mu_top[h] * sum(f2m[int(a)] for a in down[h])
+            mu_top[h] * sum(map(f2m.__getitem__, down[h].tolist()))
             for h in range(m) if mu_top[h]
         )
     if report.eq1 != report.f2:
@@ -688,20 +649,22 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
         report.mismatches.append(f"eq2_subgroup = {report.eq2_subgroup} != F2 = {report.f2}")
 
     mu_bot = mobius_from_bottom(lat)
-    if G.order == 1 or prime_power(G.order) is not None:
-        # every member is a p-group, so Hall's formula pins every mu(1, H)
-        ok = True
-        for h in range(m):
-            elementary, pe, ke = _member_elementary(lat, h)
-            n_exp = ke if elementary else _log_order(lat, h)
-            if mu_bot[h] != hall_mobius(n_exp, pe, elementary):
-                ok = False
-                break
+    pk = prime_power(G.order)
+    if G.order == 1 or pk is not None:
+        # every member H is an abelian p-group, so Hall's formula pins
+        # mu(1, H): H is elementary iff it lies inside {x : x^p = 1}
+        p, n = pk or (1, 0)  # the trivial group: only mu(1, 1) = 1
+        log_p = {p ** k: k for k in range(n + 1)}
+        roots = _pack(_pth_powers(G, p) == 0).to_bytes(lat._nbytes, "little")
+        elementary = ~(lat.words & ~np.frombuffer(roots, dtype=np.uint64)).any(axis=1)
+        keys = list(zip(map(log_p.__getitem__, lat.orders.tolist()), elementary.tolist()))
+        hall = {(k, e): hall_mobius(k, p, e) for k, e in set(keys)}
+        ok = mu_bot == tuple(map(hall.__getitem__, keys))
         report.hall_consistent = ok
         if not ok:
             report.mismatches.append("mu(1,H) disagrees with Hall's formula on some member")
 
-    ud = [int(v) for v in lat.up_degrees]
+    ud = lat.up_degrees.tolist()
     corr = sum(ud[h] * ud[h] * mu_bot[h] for h in range(m) if mu_bot[h])
     if m <= quotient_cap:
         report.quotient_method = "constructed"
@@ -727,11 +690,6 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
     if report.eq2_quotient != report.f2:
         report.mismatches.append(f"eq2_quotient = {report.eq2_quotient} != F2 = {report.f2}")
     return report
-
-
-def _log_order(lat: SubgroupLattice, h: int) -> int:
-    pk = prime_power(int(lat.orders[h]))
-    return pk[1] if pk else 0
 
 
 @dataclass

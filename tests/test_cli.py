@@ -220,6 +220,21 @@ class TestExploreCommand:
         code, out, _ = run(capsys, "explore", "theorem5", "--p", "2", "--n", "3")
         assert code == 0 and "verified" in out
 
+    @pytest.mark.parametrize("what", ["theorem5", "openproblem"])
+    def test_closed_form_mismatch_exits_1_under_optimize(self, what):
+        # a brute force that disagrees with the closed forms must fail the
+        # run even under python -O, which strips asserts
+        script = textwrap.dedent(f"""
+            import sys
+            from facnum import cli, explore
+            counted = explore.f2_bruteforce
+            explore.f2_bruteforce = lambda lat, **kw: counted(lat, **kw) + 1
+            sys.exit(cli.main(["explore", "{what}", "--p", "2", "--n", "2"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "verification failed" in proc.stderr and "closed form" in proc.stderr
+
     def test_openproblem_both_verdicts(self, capsys):
         code, out, _ = run(capsys, "explore", "openproblem", "--p", "2", "--n", "4",
                            "--format", "json")

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from facnum import groups
 from facnum.errors import (
     DomainError,
     ParseError,
@@ -40,6 +41,7 @@ from helpers import (
     permutation_group,
     reduced_latin_squares,
 )
+from facnum.lattice import enumerate_subgroups
 from test_lattice import ORACLE_GROUPS, relabeled
 
 
@@ -413,6 +415,35 @@ class TestQuotient:
         G = cyclic_group(2, 2)
         with pytest.raises(DomainError):
             quotient(G, [0, 1])  # {0, 1} not closed in Z4
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("label,builder", [
+        ("D8", dihedral8), ("Q8", quaternion8), ("E27", lambda: heisenberg_p3(3)),
+        ("M27", lambda: modular_p3(3)), ("D66", lambda: dihedral_group(33)),
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)], "S4")),
+        ("D8~1", relabeled(dihedral8, 1)),
+    ])
+    def test_normality_against_conjugation_oracle(self, label, builder, block, monkeypatch):
+        # every subgroup: the quotient exists iff no g moves N, and the
+        # error names the least g that does; block=1 gives one g per block
+        if block is not None:
+            monkeypatch.setattr(groups, "_LIGHT_BLOCK_ELEMS", block)
+        G = builder()
+        for s in enumerate_subgroups(G).subgroups:
+            N = set(s.indices())
+            movers = [g for g in range(G.order)
+                      if {G.mult(G.mult(g, x), G.inv(g)) for x in N} != N]
+            if movers:
+                with pytest.raises(DomainError, match=f"by element {movers[0]} moves it$"):
+                    quotient(G, s)
+            else:
+                assert quotient(G, s).order * len(N) == G.order
+
+    def test_abelian_quotient_at_the_order_cap(self):
+        G = cyclic_group(2, 12)
+        start = time.perf_counter()
+        Q = quotient(G, range(0, 4096, 2))
+        assert Q.order == 2 and time.perf_counter() - start < 1.0
 
 
 class TestElementaryDetection:

@@ -3,11 +3,14 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from facnum import lattice
 from facnum.errors import DomainError, ResourceLimitError
 from facnum.formulas import (
     PartitionType,
+    f2_elementary,
     hall_mobius,
     lattice_size_heisenberg_p3,
     subgroup_count_rank2,
@@ -25,6 +28,8 @@ from facnum.groups import (
     quaternion8,
 )
 from facnum.lattice import (
+    _pair_hits,
+    _popcount_dtype,
     closure,
     enumerate_subgroups,
     f2_bruteforce,
@@ -365,6 +370,74 @@ class TestF2OfMember:
         assert all(f2_of_member(lat, h) == 15 for h in kleins)
 
 
+def set_oracle_pairs(sets, full_order):
+    """Ordered pairs (i, j) with |Hi||Hj| == |G||Hi ∩ Hj|, by Python sets."""
+    return [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets)
+            if len(a) * len(b) == full_order * len(a & b)]
+
+
+# Orders at and just past the 64-bit word boundary of the bitset words.
+WORD_BOUNDARY_GROUPS = [
+    ("Z64", lambda: cyclic_group(2, 6)),
+    ("Z2xZ4xZ8", lambda: build_abelian(PartitionType(2, (1, 2, 3)))),
+    ("Z2xD32", lambda: direct_product(cyclic_group(2, 1), dihedral_group(16))),
+    ("Z65", lambda: cyclic_group_of_order(65)),
+    ("D66", lambda: dihedral_group(33)),
+]
+
+
+class TestPairKernel:
+    """f2_bruteforce, f2_of_member and list_factorizations share _pair_hits."""
+
+    @pytest.mark.parametrize("cells", [None, 1, 3])
+    @pytest.mark.parametrize("label,builder", WORD_BOUNDARY_GROUPS)
+    def test_against_set_oracle(self, label, builder, cells, monkeypatch):
+        if cells is not None:  # every row block partial
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", cells)
+        lat = enumerate_subgroups(builder())
+        sets = [frozenset(s.indices()) for s in lat.subgroups]
+        pairs = set_oracle_pairs(sets, lat.group.order)
+        assert list_factorizations(lat) == pairs
+        assert f2_bruteforce(lat) == f2_bruteforce(lat, threads=2) == len(pairs)
+        for h, H in enumerate(sets):
+            inside = [A for A in sets if A <= H]
+            assert f2_of_member(lat, h) == len(set_oracle_pairs(inside, len(H)))
+
+    @pytest.fixture(scope="class")
+    def rank7(self):
+        return enumerate_subgroups(elementary_abelian_group(2, 7))
+
+    @pytest.mark.parametrize("cells", [None, 3])
+    def test_elementary_rank7_class_pair(self, rank7, cells, monkeypatch):
+        # |H| = |K| = 16 in Z2^7: HK = G iff |H ∩ K| = 2; rows from the
+        # first 24 members of the class against the whole class
+        if cells is not None:
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", cells)
+        lat = rank7
+        B = np.flatnonzero(lat.orders == 16)
+        A = B[:24]
+        blocks = list(_pair_hits(lat.words, A, B, 2))
+        assert [s for s, _ in blocks] == list(range(0, len(A), len(blocks[0][1])))
+        hit = np.concatenate([h for _, h in blocks])
+        sets = {h: frozenset(lat.subgroups[h].indices()) for h in B.tolist()}
+        expected = [[len(sets[a] & sets[b]) == 2 for b in B.tolist()] for a in A.tolist()]
+        assert hit.tolist() == expected
+
+    def test_threads_1_against_4(self):
+        lat = enumerate_subgroups(elementary_abelian_group(2, 6))
+        assert f2_bruteforce(lat, threads=1) == f2_bruteforce(lat, threads=4) == f2_elementary(6, 2)
+
+    @pytest.mark.parametrize("order,dtype", [(4096, np.uint16), (65536, np.uint32)])
+    def test_accumulator_dtype(self, order, dtype):
+        # a popcount over the words of an order-n bitset reaches n; the
+        # accumulator must hold it exactly (no group is built)
+        nwords = (order + 63) // 64
+        assert _popcount_dtype(64 * nwords) == dtype
+        full = np.full((2, nwords), np.iinfo(np.uint64).max, dtype=np.uint64)
+        (s, hit), = _pair_hits(full, np.array([0]), np.array([1]), order)
+        assert s == 0 and hit.tolist() == [[True]]
+
+
 class TestSd:
     def test_abelian_is_one(self):
         for label, builder in SMALL_GROUPS:
@@ -445,6 +518,24 @@ class TestVerifyInversion:
     def test_report_dict_strings(self):
         d = verify_inversion(cyclic_group(2, 2)).to_dict()
         assert d["f2_bruteforce"] == "5" and d["passed"] is True
+
+    @pytest.mark.parametrize("label,builder", [
+        ("Z1", lambda: cyclic_group(2, 0)),
+        ("Z2xZ4xZ8", lambda: build_abelian(PartitionType(2, (1, 2, 3)))),
+        ("Z3xZ9", lambda: build_abelian(PartitionType(3, (1, 2)))),
+        ("Z2^4", lambda: elementary_abelian_group(2, 4)),
+        ("Z2xZ4xZ8~1", relabeled(lambda: build_abelian(PartitionType(2, (1, 2, 3))), 1)),
+    ])
+    def test_hall_check_on_every_member(self, label, builder, monkeypatch):
+        # mu(1, H) of every member against Hall's formula, elementary and
+        # not; one value off by one must be caught
+        G = builder()
+        assert verify_inversion(G).hall_consistent is True
+        computed = lattice.mobius_from_bottom
+        monkeypatch.setattr(lattice, "mobius_from_bottom",
+                            lambda lat: computed(lat)[:-1] + (computed(lat)[-1] + 1,))
+        report = verify_inversion(G)
+        assert report.hall_consistent is False and not report.passed
 
 
 CYCLIC6_TEXT = "6\n" + "\n".join(
