@@ -169,70 +169,38 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-_FORMULA_FAMILIES = ("elementary", "rank2", "corollary4", "cyclic", "Mp3", "Ep3")
+# family -> (required args, value fn of (p, *args), poly fn of args); a
+# family without a poly fn takes neither --p nor --poly
+_FORMULAS = {
+    "elementary": (("n",), lambda p, n: f2_elementary(n, p), f2_elementary_poly),
+    "rank2": (("a1", "a2"), f2_rank2, f2_rank2_poly),
+    "corollary4": (("n",), f2_corollary4, f2_corollary4_poly),
+    "cyclic": (("n",), f2_cyclic, None),
+    "Mp3": ((), f2_modular_p3, f2_modular_p3_poly),
+    "Ep3": ((), f2_heisenberg_p3, f2_heisenberg_p3_poly),
+}
 
 
 def _cmd_formula(args) -> int:
     family = args.family
-    params: dict = {}
-    value: int | None = None
-    poly = None
-    if family == "elementary":
-        if args.n is None:
-            raise DomainError("elementary requires --n")
-        params["n"] = args.n
-        if args.poly:
-            poly = f2_elementary_poly(args.n)
-        if args.p is not None:
-            params["p"] = args.p
-            value = f2_elementary(args.n, args.p)
-        elif not args.poly:
-            raise DomainError("elementary requires --p (or --poly)")
-    elif family == "rank2":
-        if args.a1 is None or args.a2 is None:
-            raise DomainError("rank2 requires --a1 and --a2")
-        params["a1"], params["a2"] = args.a1, args.a2
-        if args.poly:
-            poly = f2_rank2_poly(args.a1, args.a2)
-        if args.p is not None:
-            params["p"] = args.p
-            value = f2_rank2(args.p, args.a1, args.a2)
-        elif not args.poly:
-            raise DomainError("rank2 requires --p (or --poly)")
-    elif family == "corollary4":
-        if args.n is None:
-            raise DomainError("corollary4 requires --n")
-        params["n"] = args.n
-        if args.poly:
-            poly = f2_corollary4_poly(args.n)
-        if args.p is not None:
-            params["p"] = args.p
-            value = f2_corollary4(args.p, args.n)
-        elif not args.poly:
-            raise DomainError("corollary4 requires --p (or --poly)")
-    elif family == "cyclic":
-        if args.n is None:
-            raise DomainError("cyclic requires --n")
-        params["n"] = args.n
-        value = f2_cyclic(args.n)
-    elif family == "Mp3":
-        if args.poly:
-            poly = f2_modular_p3_poly()
-        if args.p is not None:
-            params["p"] = args.p
-            value = f2_modular_p3(args.p)
-        elif not args.poly:
-            raise DomainError("Mp3 requires --p (or --poly)")
-    elif family == "Ep3":
-        if args.poly:
-            poly = f2_heisenberg_p3_poly()
-        if args.p is not None:
-            params["p"] = args.p
-            value = f2_heisenberg_p3(args.p)
-        elif not args.poly:
-            raise DomainError("Ep3 requires --p (or --poly)")
-    else:
+    if family not in _FORMULAS:
         raise DomainError(f"unknown formula family {family!r}")
+    required, value_fn, poly_fn = _FORMULAS[family]
+    values = [getattr(args, name) for name in required]
+    if None in values:
+        raise DomainError(f"{family} requires " + " and ".join(f"--{name}" for name in required))
+    params = dict(zip(required, values))
+    value = poly = None
+    if poly_fn is None:
+        value = value_fn(*values)
+    else:
+        if args.poly:
+            poly = poly_fn(*values)
+        if args.p is not None:
+            params["p"] = args.p
+            value = value_fn(args.p, *values)
+        elif not args.poly:
+            raise DomainError(f"{family} requires --p (or --poly)")
 
     doc = {
         "command": "formula",
@@ -369,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_formula = sub.add_parser("formula", help="evaluate a closed form")
-    p_formula.add_argument("family", choices=_FORMULA_FAMILIES)
+    p_formula.add_argument("family", choices=tuple(_FORMULAS))
     p_formula.add_argument("--p", type=int, default=None)
     p_formula.add_argument("--n", type=int, default=None)
     p_formula.add_argument("--a1", type=int, default=None)

@@ -4,8 +4,8 @@ The CLI maps these onto distinct exit codes, so keep the split:
 input problems (ValidationError / DomainError / ParseError), resource-cap
 problems (ResourceLimitError) and two routes to one number that disagree
 or a named group that fails its defining relations (VerificationError).
-Internal invariants that must never fail (exact divisions) still use plain
-``assert`` / AssertionError.
+The exact divisions and sign checks of the closed forms raise
+VerificationError too, so python -O cannot strip them.
 """
 
 
@@ -32,5 +32,6 @@ class ResourceLimitError(FacnumError, RuntimeError):
 
 class VerificationError(FacnumError, RuntimeError):
     """Two independent routes to the same quantity gave different answers,
-    or a constructed group fails a relation it must satisfy.  Raised
+    a constructed group fails a relation it must satisfy, or a closed form
+    fails an exact division or sign check.  Raised
     explicitly, so the check survives ``python -O``."""

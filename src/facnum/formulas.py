@@ -3,8 +3,9 @@
 Everything here is exact: values are Python ints, symbolic forms are
 ``IntPolynomial``.  The rank-2 formulas are evaluated by computing the
 integer bracket first and then dividing by (p-1)^2 resp. (p-1)^4 with an
-exactness assertion, so a transcription slip blows up immediately
-instead of producing a plausible wrong number.
+exactness check that raises VerificationError (also under python -O), so a
+transcription slip blows up immediately instead of producing a plausible
+wrong number.
 
 An ordered pair of subgroups (H, K) with HK = G (as a product set) is a
 factorization of G; f2_* functions count those pairs for the families
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, VerificationError
 from .intpoly import IntPolynomial
 
 
@@ -107,7 +108,8 @@ def gaussian_binomial(n: int, i: int, p: int) -> int:
     for k in range(1, i + 1):
         value *= p ** (n - i + k) - 1
         quo, rem = divmod(value, p**k - 1)
-        assert rem == 0, f"gaussian binomial division not exact at step {k}"
+        if rem:
+            raise VerificationError(f"gaussian binomial division not exact at step {k}")
         value = quo
     return value
 
@@ -154,7 +156,8 @@ def hall_mobius(n: int, p: int | None, elementary: bool) -> int:
         return 1
     if not elementary:
         return 0
-    assert p is not None
+    if p is None:
+        raise DomainError(f"p is required for an elementary group of order p^{n}")
     _require_prime(p)
     return (-1) ** n * p ** _binom2(n)
 
@@ -174,7 +177,8 @@ def f2_elementary(n: int, p: int) -> int:
     for i in range(n + 1):
         term = gaussian_binomial(n, i, p) * totals[n - i] ** 2 * p ** _binom2(i)
         value += -term if i % 2 else term
-    assert value > 0, f"alternating sum must stay positive, got {value}"
+    if value <= 0:
+        raise VerificationError(f"alternating sum must stay positive, got {value}")
     return value
 
 
@@ -215,7 +219,9 @@ def subgroup_count_rank2(p: int, a1: int, a2: int) -> int:
         raise DomainError(f"need 0 <= a1 <= a2, got a1={a1}, a2={a2}")
     bracket = sum(c * p**e for e, c in enumerate(_rank2_count_bracket_coeffs(a1, a2)))
     quo, rem = divmod(bracket, (p - 1) ** 2)
-    assert rem == 0, f"rank-2 count bracket not divisible by (p-1)^2 at p={p}, ({a1},{a2})"
+    if rem:
+        raise VerificationError(
+            f"rank-2 count bracket not divisible by (p-1)^2 at p={p}, ({a1},{a2})")
     return quo
 
 
@@ -251,8 +257,11 @@ def f2_rank2(p: int, a1: int, a2: int) -> int:
         raise DomainError(f"need a1 <= a2, got a1={a1}, a2={a2}")
     bracket = sum(c * p**e for e, c in enumerate(_rank2_f2_bracket_coeffs(a1, a2)))
     quo, rem = divmod(bracket, (p - 1) ** 4)
-    assert rem == 0, f"rank-2 F2 bracket not divisible by (p-1)^4 at p={p}, ({a1},{a2})"
-    assert quo > 0
+    if rem:
+        raise VerificationError(
+            f"rank-2 F2 bracket not divisible by (p-1)^4 at p={p}, ({a1},{a2})")
+    if quo <= 0:
+        raise VerificationError(f"rank-2 F2 must be positive, got {quo} at p={p}, ({a1},{a2})")
     return quo
 
 
@@ -354,7 +363,8 @@ def f2_heisenberg_p3(p: int) -> int:
     _require_odd_prime(p, "E(p^3)")
     direct = 2 * p**3 + 5 * p**2 + 5 * p + 7
     census = 2 + p * (p + 1) * (p + 2) + 2 + (p + 1) * (p * p + p + 2) + 1
-    assert direct == census, f"E(p^3) pair census mismatch at p={p}"
+    if direct != census:
+        raise VerificationError(f"E(p^3) pair census mismatch at p={p}")
     return direct
 
 

@@ -35,8 +35,6 @@ from .formulas import PartitionType, is_prime
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "FACNUM_MAX_ORDER"
 
-# keep chunk * order * rank around a few million entries in build_abelian
-_CHUNK_ELEMS = 8_000_000
 # table entries per row block in Light's associativity test (1 MiB of int32)
 # and in the normality check of quotient
 _LIGHT_BLOCK_ELEMS = 1 << 18
@@ -247,20 +245,17 @@ def build_abelian(ptype: PartitionType, *, label: str | None = None,
     mixed-radix order (first coordinate fastest), identity at index 0."""
     n = ptype.order
     _check_order_cap(n, max_order)
-    if not ptype.alphas:
-        return FiniteGroup([[0]], label or "Z1", max_order=max_order)
-    moduli = np.array([ptype.p ** a for a in ptype.alphas], dtype=np.int64)
-    k = len(moduli)
-    weights = np.ones(k, dtype=np.int64)
-    for i in range(1, k):
-        weights[i] = weights[i - 1] * moduli[i - 1]
-    idx = np.arange(n, dtype=np.int64)
-    coords = (idx[:, None] // weights[None, :]) % moduli[None, :]
-    table = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, _CHUNK_ELEMS // (n * k))
-    for start in range(0, n, chunk):
-        s = (coords[start:start + chunk, None, :] + coords[None, :, :]) % moduli
-        table[start:start + chunk] = s @ weights
+    idx = np.arange(n, dtype=np.int32)
+    table = np.zeros((n, n), dtype=np.int32)
+    w = 1
+    for a in ptype.alphas:  # one cyclic coordinate at a time, in place
+        m = ptype.p ** a
+        c = idx // w % m
+        s = c[:, None] + c
+        s %= m
+        s *= w
+        table += s
+        w *= m
     return FiniteGroup(table, label or ptype.label(), max_order=max_order)
 
 
@@ -406,32 +401,29 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     return G
 
 
-_NAMED_NO_PARAMS = {"D8": dihedral8, "Q8": quaternion8}
+# family -> (required parameters, constructor taking them and max_order)
+_NAMED_FAMILIES = {
+    "Cyclic": (("p", "n"), cyclic_group),
+    "Elem": (("p", "n"), elementary_abelian_group),
+    "D8": ((), lambda max_order: dihedral8()),
+    "Q8": ((), lambda max_order: quaternion8()),
+    "M": (("p",), modular_p3),
+    "E": (("p",), heisenberg_p3),
+}
 
 
 def build_named(name: str, p: int | None = None, n: int | None = None, *,
                 max_order: int | None = None) -> FiniteGroup:
     """Dispatch on a family name: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p)."""
-    if name in _NAMED_NO_PARAMS:
-        return _NAMED_NO_PARAMS[name]()
-    if name == "Cyclic":
-        if p is None or n is None:
-            raise DomainError("Cyclic requires both p and n")
-        return cyclic_group(p, n, max_order=max_order)
-    if name == "Elem":
-        if p is None or n is None:
-            raise DomainError("Elem requires both p and n")
-        return elementary_abelian_group(p, n, max_order=max_order)
-    if name == "M":
-        if p is None:
-            raise DomainError("M requires p")
-        return modular_p3(p, max_order=max_order)
-    if name == "E":
-        if p is None:
-            raise DomainError("E requires p")
-        return heisenberg_p3(p, max_order=max_order)
-    raise DomainError(f"unknown named family {name!r} "
-                      "(expected Cyclic, Elem, D8, Q8, M or E)")
+    if name not in _NAMED_FAMILIES:
+        raise DomainError(f"unknown named family {name!r} "
+                          "(expected Cyclic, Elem, D8, Q8, M or E)")
+    required, build = _NAMED_FAMILIES[name]
+    args = [{"p": p, "n": n}[k] for k in required]
+    if None in args:
+        both = "both " if len(required) > 1 else ""
+        raise DomainError(f"{name} requires {both}{' and '.join(required)}")
+    return build(*args, max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

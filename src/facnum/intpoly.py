@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
+from .errors import VerificationError
+
 VARIABLE = "p"
 
 
@@ -146,7 +148,8 @@ class IntPolynomial:
             quo[pos] = q
             for i, c in enumerate(dvc):
                 rem[pos + i] -= q * c
-            assert rem[-1] == 0
+            if rem[-1]:
+                raise VerificationError(f"elimination left leading coefficient {rem[-1]}")
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -155,9 +158,11 @@ class IntPolynomial:
         return IntPolynomial(quo), IntPolynomial(rem)
 
     def exact_div(self, other) -> "IntPolynomial":
-        """Divide, asserting the division leaves no remainder."""
+        """Divide, raising VerificationError unless the division leaves no
+        remainder."""
         quo, rem = divmod(self, other)
-        assert not rem, f"polynomial division left remainder {rem!r}"
+        if rem:
+            raise VerificationError(f"polynomial division left remainder {rem!r}")
         return quo
 
     # -- formatting ----------------------------------------------------------

@@ -4,8 +4,9 @@ Subgroups are bitsets over element indices (Python ints), mirrored into
 a numpy uint64 word matrix for pair counting, which is blocked by
 subgroup order: a product set satisfies |HK| = |H||K| / |H∩K| for any
 two subgroups, so HK = G is equivalent to |H|*|K| == |G|*|H∩K| and only
-the intersection popcount is ever materialized.  Containment is not
-scanned for: it follows from the extension edges the enumeration records.
+the intersection popcount is ever materialized.  Containment and joins
+are not scanned for: they follow from the extension edges the enumeration
+records.
 
 All aggregate arithmetic (Moebius values, inversion sums) runs on plain
 Python ints; the numpy side only ever produces bounded popcounts.
@@ -104,7 +105,7 @@ class SubgroupLattice:
         self._up_degrees: np.ndarray | None = None
         self._down_degrees: np.ndarray | None = None
         self._mobius_top: MobiusTable | None = None
-        self._join_memo: dict[int, int] = {}
+        self._up_sets: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -125,26 +126,10 @@ class SubgroupLattice:
         return self._index[self._bits[i] & self._bits[j]]
 
     def join_index(self, i: int, j: int) -> int:
-        """Smallest member containing both; memoized on the union bitset."""
-        bi, bj = self._bits[i], self._bits[j]
-        union = bi | bj
-        if union == bi:
-            return i
-        if union == bj:
-            return j
-        cached = self._join_memo.get(union)
-        if cached is not None:
-            return cached
-        hit = self._index.get(union)
-        if hit is None:
-            start = int(np.searchsorted(self.orders, union.bit_count(), side="left"))
-            for k in range(start, len(self._bits)):
-                if self._bits[k] & union == union:
-                    hit = k
-                    break
-            assert hit is not None, "lattice must contain the full group"
-        self._join_memo[union] = hit
-        return hit
+        """Smallest member containing both: members are sorted by order, so
+        the join is the lowest common member of their up-sets."""
+        both = self.up_sets[i] & self.up_sets[j]
+        return (both & -both).bit_length() - 1
 
     @property
     def words(self) -> np.ndarray:
@@ -210,6 +195,20 @@ class SubgroupLattice:
         """down_degrees[h] = number of lattice members inside H = |L(H)|."""
         self._ensure_containment()
         return self._down_degrees
+
+    @property
+    def up_sets(self) -> list[int]:
+        """For each member H, its up-list as a bitset over member indices,
+        packed on first use (m^2 bits in all, so not with the lists)."""
+        if self._up_sets is None:
+            mark = np.zeros(len(self), dtype=bool)
+            sets = []
+            for u in self.up_lists:
+                mark[u] = True
+                sets.append(_pack(mark))
+                mark[u] = False
+            self._up_sets = sets
+        return self._up_sets
 
     @property
     def mobius_top(self) -> MobiusTable:
@@ -500,22 +499,18 @@ def f2_of_member(lat: SubgroupLattice, h: int) -> int:
 
 def permuting_pairs(lat: SubgroupLattice) -> int:
     """Number of ordered pairs (H, K) with HK = KH, i.e. with the product
-    set as large as the join: |H||K| / |H∩K| == |<H, K>|."""
+    set as large as the join: |H||K| == |<H, K>||H∩K|.  Comparable pairs
+    satisfy it with <H, K> and H∩K the two members themselves."""
     m = len(lat)
     bits = lat._bits
     orders = lat.orders.tolist()
+    join = lat.join_index
     count = m  # (H, H) always permutes
     for i in range(m):
         bi = bits[i]
         oi = orders[i]
         for j in range(i + 1, m):
-            bj = bits[j]
-            inter = bi & bj
-            if inter == bi or inter == bj:
-                count += 2
-                continue
-            joined = lat.join_index(i, j)
-            if oi * orders[j] == orders[joined] * inter.bit_count():
+            if oi * orders[j] == orders[join(i, j)] * (bi & bits[j]).bit_count():
                 count += 2
     return count
 

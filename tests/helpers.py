@@ -6,6 +6,7 @@ literal product sets, and Moebius values by inverting the zeta matrix
 with sympy.  Keep them dumb.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -94,6 +95,26 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     table = [[G.rows[a // m][b // m] * m + H.rows[a % m][b % m]
               for b in range(G.order * m)] for a in range(G.order * m)]
     return FiniteGroup(table, f"{G.label}x{H.label}")
+
+
+def abelian_table_by_coordinates(moduli) -> list[list[int]]:
+    """Cayley table of Z_m1 x ... x Z_mk, element x = sum x_i * m_1...m_(i-1)
+    (first coordinate fastest), one coordinate sum per entry."""
+    def coords(x):
+        out = []
+        for m in moduli:
+            x, r = divmod(x, m)
+            out.append(r)
+        return out
+
+    def index(c):
+        x = 0
+        for m, ci in zip(reversed(moduli), reversed(c)):
+            x = x * m + ci
+        return x
+
+    cs = [coords(x) for x in range(math.prod(moduli))]
+    return [[index([(a + b) % m for a, b, m in zip(ca, cb, moduli)]) for cb in cs] for ca in cs]
 
 
 def cyclic_group_of_order(n: int) -> FiniteGroup:

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from facnum import cli, lattice
 from facnum.cli import GroupSpec, main
 from facnum.errors import ParseError
-from facnum.groups import dihedral8
+from facnum.groups import dihedral8, elementary_abelian_group, permute_elements
 
 
 def run(capsys, *argv):
@@ -88,6 +90,48 @@ class TestFormulaCommand:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "formula", "Mp3", "--p", "5", "--format", "csv")
         assert code == 0 and "107" in out
+
+    @pytest.mark.parametrize("family,partial,message,rest,value", [
+        ("elementary", ["--p", "2"], "elementary requires --n", ["--n", "3"], 129),
+        ("rank2", ["--p", "3", "--a1", "1"], "rank2 requires --a1 and --a2", ["--a2", "2"], 49),
+        ("corollary4", ["--n", "3"], "corollary4 requires --p (or --poly)", ["--p", "2"], 43),
+        # cyclic takes neither --p nor --poly
+        ("cyclic", ["--p", "3", "--poly"], "cyclic requires --n", ["--n", "4"], 9),
+        ("Mp3", [], "Mp3 requires --p (or --poly)", ["--p", "5"], 107),
+        ("Ep3", ["--n", "3"], "Ep3 requires --p (or --poly)", ["--p", "3"], 121),
+    ])
+    def test_each_family(self, capsys, family, partial, message, rest, value):
+        assert run(capsys, "formula", family, *partial) == (2, "", f"facnum: {message}\n")
+        assert run(capsys, "formula", family, *partial, *rest) == (0, f"F2 = {value}\n", "")
+
+    @pytest.mark.parametrize("argv,params,value,poly", [
+        (["rank2", "--p", "3", "--a2", "2", "--a1", "1"], [("a1", 1), ("a2", 2), ("p", 3)],
+         "49", "3p^2 + 5p + 7"),
+        (["cyclic", "--p", "3", "--n", "4"], [("n", 4)], "9", None),
+    ])
+    def test_json_params_in_table_order(self, capsys, argv, params, value, poly):
+        code, out, _ = run(capsys, "formula", *argv, "--poly", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and list(doc["params"].items()) == params
+        assert (doc["value"], doc["poly"]) == (value, poly)
+
+    def test_inexact_division_exits_1_under_optimize(self):
+        # an off-by-one bracket coefficient leaves a remainder mod (p-1)^4;
+        # the exactness check must survive python -O
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, formulas
+            exact = formulas._rank2_f2_bracket_coeffs
+            def broken(a1, a2):
+                coeffs = exact(a1, a2)
+                coeffs[0] += 1
+                return coeffs
+            formulas._rank2_f2_bracket_coeffs = broken
+            sys.exit(cli.main(["formula", "rank2", "--p", "3", "--a1", "1", "--a2", "2"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "verification failed" in proc.stderr
 
 
 class TestF2Command:
@@ -200,6 +244,36 @@ class TestSdCommand:
         proc = run_optimized(script)
         assert proc.returncode == 1, proc.stderr
         assert "sd routes disagree" in proc.stderr
+
+    def test_up_list_mismatch_exits_1_under_optimize(self):
+        # An up-list that loses a member corrupts the joins of the
+        # permuting-pairs route only
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from facnum import cli, lattice
+            built = lattice.SubgroupLattice.up_lists.fget
+            def corrupted(lat):
+                up = list(built(lat))
+                up[1] = np.delete(up[1], 1)  # an order-4 member above it
+                return up
+            lattice.SubgroupLattice.up_lists = property(corrupted)
+            sys.exit(cli.main(["sd", "named:D8"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "sd routes disagree" in proc.stderr
+
+    def test_relabelled_z2_6_in_bounded_time(self, capsys, tmp_path):
+        # 2 825 subgroups, so about 4 million pairs, each with its join
+        G = elementary_abelian_group(2, 6)
+        rng = random.Random(6)
+        path = tmp_path / "z2_6.tbl"
+        path.write_text(permute_elements(G, [0] + rng.sample(range(1, 64), 63)).to_table_text())
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "sd", f"table:{path}")
+        assert code == 0 and " = 1/1 ~ " in out
+        assert time.perf_counter() - t0 < 30
 
     def test_broken_self_check_exits_1_under_optimize(self):
         # Q8 with a wrong inverse fails y^-1 x y = x^-1; python -O must

@@ -1,6 +1,7 @@
 import pytest
 
-from facnum.errors import DomainError, ValidationError
+from facnum import formulas
+from facnum.errors import DomainError, ValidationError, VerificationError
 from facnum.formulas import (
     PartitionType,
     f2_corollary4,
@@ -109,6 +110,10 @@ class TestHallMobius:
     def test_convention_small_n(self):
         assert hall_mobius(0, None, True) == 1
         assert hall_mobius(1, 3, True) == -1  # C(1,2) = 0
+
+    def test_elementary_needs_p(self):
+        with pytest.raises(DomainError):
+            hall_mobius(2, None, True)
 
     def test_larger(self):
         assert hall_mobius(4, 2, True) == 64
@@ -294,3 +299,23 @@ def test_exploratory_rank2_bracket_degrades_gracefully_at_a1_zero():
             quo, rem = divmod(bracket, (p - 1) ** 4)
             assert rem == 0
             assert quo == f2_cyclic(a2)
+
+
+@pytest.mark.parametrize("coeffs,compute", [
+    ("_rank2_f2_bracket_coeffs", lambda: f2_rank2(3, 1, 2)),
+    ("_rank2_count_bracket_coeffs", lambda: subgroup_count_rank2(3, 1, 2)),
+    ("_rank2_count_bracket_coeffs", lambda: subgroup_count_rank2_poly(1, 2)),
+])
+def test_inexact_bracket_raises(monkeypatch, coeffs, compute):
+    # one coefficient off by one leaves a remainder on division by a power
+    # of (p - 1)
+    exact = getattr(formulas, coeffs)
+
+    def broken(a1, a2):
+        c = exact(a1, a2)
+        c[0] += 1
+        return c
+
+    monkeypatch.setattr(formulas, coeffs, broken)
+    with pytest.raises(VerificationError, match="not divisible|remainder"):
+        compute()

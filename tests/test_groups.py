@@ -34,6 +34,7 @@ from facnum.groups import (
 )
 
 from helpers import (
+    abelian_table_by_coordinates,
     associative_bruteforce,
     cyclic_group_of_order,
     dihedral_group,
@@ -73,6 +74,13 @@ class TestBuildAbelian:
         with pytest.raises(ResourceLimitError):
             build_abelian(PartitionType(2, (5,)))
         assert build_abelian(PartitionType(2, (4,))).order == 16
+
+    @pytest.mark.parametrize("p,alphas", [
+        (2, (1, 2, 3)), (3, (1, 2)), (5, (1, 2)), (2, (1, 1, 3)), (3, (1, 1, 2)),
+    ])
+    def test_table_against_mixed_radix_reference(self, p, alphas):
+        G = build_abelian(PartitionType(p, alphas))
+        assert G.table.tolist() == abelian_table_by_coordinates([p ** a for a in alphas])
 
     def test_element_orders_mixed_radix(self):
         G = build_abelian(PartitionType(2, (1, 2)))
@@ -125,6 +133,20 @@ class TestNamedFamilies:
             build_named("E")  # missing p
         with pytest.raises(DomainError):
             build_named("Sporadic")
+
+    @pytest.mark.parametrize("name,args,order,message", [
+        ("Cyclic", (2, 3), 8, "Cyclic requires both p and n"),
+        ("Elem", (3, 2), 9, "Elem requires both p and n"),
+        ("D8", (), 8, None),
+        ("Q8", (), 8, None),
+        ("M", (3,), 27, "M requires p"),
+        ("E", (3,), 27, "E requires p"),
+    ])
+    def test_build_named_each_family(self, name, args, order, message):
+        assert build_named(name, *args).order == order
+        for given in range(len(args)):  # each prefix of the parameters
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                build_named(name, *args[:given])
 
 
     @pytest.mark.parametrize("builder,attr,broken,relation", [

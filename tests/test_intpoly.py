@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from facnum.errors import VerificationError
 from facnum.intpoly import IntPolynomial
 
 
@@ -51,7 +52,7 @@ def test_divmod_with_remainder():
 
 def test_exact_div_rejects_remainder():
     x = IntPolynomial.x()
-    with pytest.raises(AssertionError):
+    with pytest.raises(VerificationError):
         (x**2 + 1).exact_div(x - 1)
 
 

@@ -47,6 +47,7 @@ from facnum.lattice import (
 )
 
 from helpers import (
+    SUBSET_ORACLE_MAX_ORDER,
     cyclic_group_of_order,
     dihedral_group,
     direct_product,
@@ -267,6 +268,34 @@ class TestContainment:
             assert lat.down_degrees[h] == len(below)
 
 
+class TestJoins:
+    @pytest.mark.parametrize("label,builder", ORACLE_GROUPS + [
+        ("E27", lambda: heisenberg_p3(3)),
+        ("M27", lambda: modular_p3(3)),
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+        ("D60", lambda: dihedral_group(30)),
+        ("Z60", lambda: cyclic_group_of_order(60)),
+    ])
+    def test_join_index_against_oracle(self, label, builder):
+        # the join is the smallest-order member containing both
+        lat = enumerate_subgroups(builder())
+        bits = [s.bits for s in lat.subgroups]
+        for i in range(len(lat)):
+            for j in range(len(lat)):
+                union = bits[i] | bits[j]
+                above = [k for k, b in enumerate(bits) if b & union == union]
+                assert lat.join_index(i, j) == min(above, key=lambda k: lat.subgroups[k].order)
+
+    def test_up_sets_built_on_first_join_only(self):
+        # m^2 bits: containment and pair counting must not pay for them
+        lat = enumerate_subgroups(dihedral8())
+        f2_bruteforce(lat)
+        mobius_to_top(lat)
+        assert lat._up_sets is None
+        lat.join_index(1, 2)
+        assert len(lat._up_sets) == len(lat)
+
+
 class TestMobius:
     def test_chain_mu_is_zero(self):
         lat = enumerate_subgroups(cyclic_group(2, 2))
@@ -458,11 +487,19 @@ class TestSd:
         lat = enumerate_subgroups(heisenberg_p3(3))
         assert sd(lat) == Fraction(253, 361)
 
-    @pytest.mark.parametrize("label,builder", SMALL_GROUPS[:7])
+    @pytest.mark.parametrize("label,builder", SMALL_GROUPS[:7] + [
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+        NON_PRIME_POWER[3],  # D12
+        NON_PRIME_POWER[2],  # A4
+        ("E27", lambda: heisenberg_p3(3)),
+    ])
     def test_permuting_pairs_against_product_set_oracle(self, label, builder):
         G = builder()
         lat = enumerate_subgroups(G)
-        assert permuting_pairs(lat) == permuting_pairs_by_product_sets(G)
+        # above the subset oracle's reach, take the members from the lattice
+        subs = (None if G.order <= SUBSET_ORACLE_MAX_ORDER
+                else [frozenset(s.indices()) for s in lat.subgroups])
+        assert permuting_pairs(lat) == permuting_pairs_by_product_sets(G, subs)
 
 
 class TestVerifyInversion:
