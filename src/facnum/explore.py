@@ -100,27 +100,23 @@ def theorem5_catalog(p: int, n: int, *, max_order: int | None = None) -> list[Ca
     """The classified groups of order p^2 and p^3."""
     if not is_prime(p):
         raise ValidationError(f"p must be a prime, got {p!r}")
-    if n == 2:
-        return [
-            CatalogEntry(f"Z{p}^2", "builtin", p * p, lambda: elementary_abelian_group(p, 2)),
-            CatalogEntry(f"Z{p ** 2}", "builtin", p * p, lambda: cyclic_group(p, 2)),
-        ]
+    if n not in (2, 3):
+        raise DomainError("the order-p^n classification is built in for n in {2, 3} only, "
+                          f"got n={n}")
+    q = p**n
+
+    def builtin(label, build, *args):  # built under the run's order cap
+        return CatalogEntry(label, "builtin", q, lambda: build(*args, max_order=max_order))
+
+    entries = [builtin(f"Z{p}^{n}", elementary_abelian_group, p, n),
+               builtin(f"Z{q}", cyclic_group, p, n)]
     if n == 3:
-        entries = [
-            CatalogEntry(f"Z{p}^3", "builtin", p**3, lambda: elementary_abelian_group(p, 3)),
-            _abelian_entry(p, (1, 2), max_order=max_order),
-            CatalogEntry(f"Z{p ** 3}", "builtin", p**3, lambda: cyclic_group(p, 3)),
-        ]
+        entries.insert(1, _abelian_entry(p, (1, 2), max_order=max_order))  # Z_p x Z_p^2
         if p == 2:
-            entries.append(CatalogEntry("D8", "builtin", 8, dihedral8))
-            entries.append(CatalogEntry("Q8", "builtin", 8, quaternion8))
+            entries += [builtin("D8", dihedral8), builtin("Q8", quaternion8)]
         else:
-            entries.append(CatalogEntry(f"M({p ** 3})", "builtin", p**3,
-                                        lambda: modular_p3(p, max_order=max_order)))
-            entries.append(CatalogEntry(f"E({p ** 3})", "builtin", p**3,
-                                        lambda: heisenberg_p3(p, max_order=max_order)))
-        return entries
-    raise DomainError(f"the order-p^n classification is built in for n in {{2, 3}} only, got n={n}")
+            entries += [builtin(f"M({q})", modular_p3, p), builtin(f"E({q})", heisenberg_p3, p)]
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +267,8 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
         raise DomainError(f"n must be positive, got {n}")
     bound = f2_elementary(n, p)
     entries: list[CatalogEntry] = []
-    if n <= 3:
-        entries.extend(theorem5_catalog(p, n, max_order=max_order) if n >= 2
-                       else [CatalogEntry(f"Z{p}", "builtin", p,
-                                          lambda: cyclic_group(p, 1))])
+    if n in (2, 3):
+        entries.extend(theorem5_catalog(p, n, max_order=max_order))
     else:
         for forms in partitions(n):
             entries.append(_abelian_entry(p, forms.nondecreasing, max_order=max_order))

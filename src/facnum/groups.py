@@ -8,6 +8,15 @@ handed.  The named non-abelian families self-check their defining
 relations on top of that; presentation bugs are the classic failure
 mode, so the realizations are verified rather than trusted.
 
+Every built-in group, abelian or named, is generator data for one
+polycyclic presentation builder (Sims, Computation with Finitely
+Presented Groups, the chapter on polycyclic groups).  Generator g, in
+order, is (m, power, images) over N = <earlier generators>: g has
+relative order m, g^m = power and g g_j g^-1 = images[j], both indices in
+N.  Element n g^e sits at index n + |N| e, so the first generator runs
+fastest.  The data is not trusted either: an inconsistent presentation
+gives a table that is not a group, and validation rejects it.
+
 Associativity is decided exactly by Light's test (Clifford & Preston,
 The Algebraic Theory of Semigroups I, 1.2) in O(n^2 log n) lookups
 instead of n^3.  Call a passing when (xa)y = x(ay) for all x, y.  If a
@@ -24,6 +33,7 @@ After at most log2(n) checks R = G, and every element passes.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -239,23 +249,45 @@ class FiniteGroup:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _presented_table(gens, max_order: int | None) -> np.ndarray:
+    """Cayley table of a polycyclic presentation (module docstring)."""
+    _check_order_cap(math.prod(m for m, _, _ in gens), max_order)
+    table = np.zeros((1, 1), dtype=np.int32)
+    orders: list[int] = []  # relative orders of the generators of N
+    for m, power, images in gens:
+        k = len(table)
+        # conjugation by g over N, one generator of N at a time:
+        # n' g_j^e -> conj(n') images[j]^e
+        conj = np.zeros(1, dtype=np.int32)
+        for m_j, image in zip(orders, images):
+            image_powers = [0]
+            for _ in range(m_j - 1):
+                image_powers.append(table[image_powers[-1], image])
+            conj = table[conj[None, :], np.array(image_powers)[:, None]].ravel()
+        # (n1 g^e1)(n2 g^e2) = n1 (g^e1 n2 g^-e1) g^(e1+e2), where a power
+        # g^(m+e) is power g^e, so N's part picks up a right factor power
+        new = np.empty((k * m, k * m), dtype=np.int32)
+        offsets = k * np.arange(m, dtype=np.int32)[:, None]
+        times_power = table[:, power]
+        moved = np.arange(k)  # conjugation by g^e1
+        for e1 in range(m):
+            low = table[:, moved]
+            rows = new[k * e1:k * (e1 + 1)].reshape(k, m, k)
+            rows[:, :m - e1] = low[:, None, :] + offsets[e1:]
+            rows[:, m - e1:] = times_power[low][:, None, :] + offsets[:e1]
+            moved = conj[moved]
+        table = new
+        orders.append(m)
+    return table
+
+
 def build_abelian(ptype: PartitionType, *, label: str | None = None,
                   max_order: int | None = None) -> FiniteGroup:
     """Direct product of cyclic groups of orders p**a_i, elements in
     mixed-radix order (first coordinate fastest), identity at index 0."""
-    n = ptype.order
-    _check_order_cap(n, max_order)
-    idx = np.arange(n, dtype=np.int32)
-    table = np.zeros((n, n), dtype=np.int32)
-    w = 1
-    for a in ptype.alphas:  # one cyclic coordinate at a time, in place
-        m = ptype.p ** a
-        c = idx // w % m
-        s = c[:, None] + c
-        s %= m
-        s *= w
-        table += s
-        w *= m
+    moduli = [ptype.p ** a for a in ptype.alphas]
+    weights = [math.prod(moduli[:i]) for i in range(len(moduli))]
+    table = _presented_table([(m, 0, weights[:i]) for i, m in enumerate(moduli)], max_order)
     return FiniteGroup(table, label or ptype.label(), max_order=max_order)
 
 
@@ -285,18 +317,11 @@ def _self_check(G: FiniteGroup, ok: bool, relation: str) -> None:
         raise VerificationError(f"{G.label} self-check failed: {relation}")
 
 
-def dihedral8() -> FiniteGroup:
+def dihedral8(*, max_order: int | None = None) -> FiniteGroup:
     """D8 = <r, s | r^4 = s^2 = 1, s r s = r^-1>; element (a, b) = r^a s^b
     at index a + 4b."""
-    table = [[0] * 8 for _ in range(8)]
-    for a1 in range(4):
-        for b1 in range(2):
-            for a2 in range(4):
-                for b2 in range(2):
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-                    b = (b1 + b2) % 2
-                    table[a1 + 4 * b1][a2 + 4 * b2] = a + 4 * b
-    G = FiniteGroup(table, "D8")
+    G = FiniteGroup(_presented_table([(4, 0, []), (2, 0, [3])], max_order), "D8",
+                    max_order=max_order)
     r, s = 1, 4
     _self_check(G, G.element_order(r) == 4 and G.element_order(s) == 2, "r^4 = s^2 = 1")
     _self_check(G, G.mult(G.mult(s, r), s) == G.inv(r), "s r s = r^-1")
@@ -304,21 +329,11 @@ def dihedral8() -> FiniteGroup:
     return G
 
 
-def quaternion8() -> FiniteGroup:
+def quaternion8(*, max_order: int | None = None) -> FiniteGroup:
     """Q8 = <x, y | x^4 = 1, x^2 = y^2, y^-1 x y = x^-1>; element (a, b) =
     x^a y^b at index a + 4b."""
-    table = [[0] * 8 for _ in range(8)]
-    for a1 in range(4):
-        for b1 in range(2):
-            for a2 in range(4):
-                for b2 in range(2):
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-                    b = b1 + b2
-                    if b >= 2:
-                        a = (a + 2) % 4
-                        b -= 2
-                    table[a1 + 4 * b1][a2 + 4 * b2] = a + 4 * b
-    G = FiniteGroup(table, "Q8")
+    G = FiniteGroup(_presented_table([(4, 0, []), (2, 2, [3])], max_order), "Q8",
+                    max_order=max_order)
     x, y = 1, 4
     _self_check(G, G.mult(x, x) == G.mult(y, y), "x^2 = y^2")
     _self_check(G, G.mult(G.mult(G.inv(y), x), y) == G.inv(x), "y^-1 x y = x^-1")
@@ -328,11 +343,8 @@ def quaternion8() -> FiniteGroup:
 
 def modular_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     """M(p^3) = <x, y | x^(p^2) = y^p = 1, y^-1 x y = x^(p+1)>, p odd,
-    realized on pairs (a mod p^2, b mod p) = x^a y^b at index a + p^2*b.
-
-    Moving y^b across x^a twists the exponent by (1-p)^b = 1 - b p (mod p^2):
-    (a1, b1)(a2, b2) = (a1 + a2*(1 - b1*p) mod p^2, b1 + b2 mod p).
-    """
+    realized as x^a y^b at index a + p^2*b.  Since (1+p)(1-p) = 1 mod p^2,
+    y x y^-1 = x^(1-p)."""
     if not is_prime(p):
         raise ValidationError(f"p must be a prime, got {p!r}")
     if p == 2:
@@ -341,17 +353,8 @@ def modular_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
             "to D8, whose factorization number is 41, not 3p^2+5p+7"
         )
     p2 = p * p
-    n = p2 * p
-    _check_order_cap(n, max_order)
-    # index layout: (a, b) -> a + p2 * b
-    idx = np.arange(n, dtype=np.int64)
-    A1 = (idx % p2)[:, None]
-    B1 = (idx // p2)[:, None]
-    A2 = (idx % p2)[None, :]
-    B2 = (idx // p2)[None, :]
-    anew = (A1 + A2 * (1 - B1 * p)) % p2
-    bnew = (B1 + B2) % p
-    G = FiniteGroup((anew + p2 * bnew).astype(np.int32), f"M({n})", max_order=max_order)
+    table = _presented_table([(p2, 0, []), (p, 0, [p2 - p + 1])], max_order)
+    G = FiniteGroup(table, f"M({p2 * p})", max_order=max_order)
     x, y = 1, p2
     _self_check(G, G.element_order(x) == p2 and G.element_order(y) == p,
                 "x^(p^2) = y^p = 1")
@@ -368,6 +371,8 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     """E(p^3): upper unitriangular 3x3 matrices over the p-element field,
     p odd.  Element (a, b, c) is the matrix [[1,a,c],[0,1,b],[0,0,1]] at
     index a*p^2 + b*p + c; product adds coordinates with c picking up a1*b2.
+    It is z^c y^b x^a for x = (1,0,0), y = (0,1,0) and the central
+    z = (0,0,1), and x y x^-1 = z y.
 
     Extraspecial of exponent p: every non-identity element has order p and
     the commutator [x, y] is central of order p.
@@ -379,19 +384,8 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
             "E(p^3) requires an odd prime: at p=2 the exponent-p extraspecial "
             "presentation degenerates (the order-8 candidates are D8 and Q8)"
         )
-    n = p**3
-    _check_order_cap(n, max_order)
-    idx = np.arange(n, dtype=np.int64)
-    A1 = (idx // (p * p))[:, None]
-    B1 = ((idx // p) % p)[:, None]
-    C1 = (idx % p)[:, None]
-    A2 = (idx // (p * p))[None, :]
-    B2 = ((idx // p) % p)[None, :]
-    C2 = (idx % p)[None, :]
-    a = (A1 + A2) % p
-    b = (B1 + B2) % p
-    c = (C1 + C2 + A1 * B2) % p
-    G = FiniteGroup((a * p * p + b * p + c).astype(np.int32), f"E({n})", max_order=max_order)
+    table = _presented_table([(p, 0, []), (p, 0, [1]), (p, 0, [1, 1 + p])], max_order)
+    G = FiniteGroup(table, f"E({p ** 3})", max_order=max_order)
     _self_check(G, bool(np.all(G.element_orders()[1:] == p)), "exponent p")
     x, y = p * p, p  # (1,0,0) and (0,1,0)
     comm = G.mult(G.mult(G.inv(x), G.inv(y)), G.mult(x, y))
@@ -405,8 +399,8 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
 _NAMED_FAMILIES = {
     "Cyclic": (("p", "n"), cyclic_group),
     "Elem": (("p", "n"), elementary_abelian_group),
-    "D8": ((), lambda max_order: dihedral8()),
-    "Q8": ((), lambda max_order: quaternion8()),
+    "D8": ((), dihedral8),
+    "Q8": ((), quaternion8),
     "M": (("p",), modular_p3),
     "E": (("p",), heisenberg_p3),
 }

@@ -129,6 +129,9 @@ class SubgroupLattice:
         """Smallest member containing both: members are sorted by order, so
         the join is the lowest common member of their up-sets."""
         both = self.up_sets[i] & self.up_sets[j]
+        if not both:
+            raise VerificationError(f"members {i} and {j} have no common upper member: "
+                                    "an up-list lost the full group")
         return (both & -both).bit_length() - 1
 
     @property

@@ -156,3 +156,29 @@ def reduced_latin_squares(n: int):
         square[i][j] = -1
 
     yield from fill(0)
+
+
+def order8_table(y_squared: int) -> np.ndarray:
+    """<x, y | x^4 = 1, y^2 = x^y_squared, y^-1 x y = x^-1> on x^a y^b at
+    index a + 4b: D8 for y_squared 0, Q8 for 2.  Moving y^b1 past x^a2
+    negates a2 when b1 = 1; y^2 turns into x^y_squared."""
+    b, a = np.divmod(np.arange(8), 4)
+    a1, b1, a2, b2 = a[:, None], b[:, None], a[None, :], b[None, :]
+    return (a1 + (1 - 2 * b1) * a2 + y_squared * (b1 * b2)) % 4 + 4 * ((b1 + b2) % 2)
+
+
+def modular_p3_table(p: int) -> np.ndarray:
+    """M(p^3) on x^a y^b at index a + p^2 b, one coordinate rule:
+    (a1, b1)(a2, b2) = (a1 + a2 (1 - b1 p) mod p^2, b1 + b2 mod p)."""
+    b, a = np.divmod(np.arange(p**3), p * p)
+    a1, b1, a2, b2 = a[:, None], b[:, None], a[None, :], b[None, :]
+    return (a1 + a2 * (1 - b1 * p)) % (p * p) + p * p * ((b1 + b2) % p)
+
+
+def heisenberg_p3_table(p: int) -> np.ndarray:
+    """Unitriangular matrices [[1,a,c],[0,1,b],[0,0,1]] over Z_p at index
+    a p^2 + b p + c: (a1 + a2, b1 + b2, c1 + c2 + a1 b2)."""
+    i = np.arange(p**3)
+    a, b, c = i // (p * p), i // p % p, i % p
+    return (((a[:, None] + a) % p) * p * p + ((b[:, None] + b) % p) * p
+            + (c[:, None] + c + a[:, None] * b) % p)

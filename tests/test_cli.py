@@ -210,6 +210,11 @@ class TestF2Command:
         code, _, err = run(capsys, "f2", "named:Elem:p=2:n=13")
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["D8", "Q8"])
+    def test_max_order_caps_named_order8(self, capsys, name):
+        code, _, err = run(capsys, "f2", f"named:{name}", "--max-order", "4")
+        assert code == 3 and "exceeds the safety cap 4" in err
+
 
 class TestSdCommand:
     def test_d8(self, capsys):
@@ -264,6 +269,24 @@ class TestSdCommand:
         assert proc.returncode == 1, proc.stderr
         assert "sd routes disagree" in proc.stderr
 
+    def test_up_list_without_full_group_exits_1_under_optimize(self):
+        # Two members with no common upper member have no join; that must
+        # fail the run, not read index -1 (the full group's order)
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, lattice
+            built = lattice.SubgroupLattice.up_lists.fget
+            def corrupted(lat):
+                up = list(built(lat))
+                up[1] = up[1][:-1]  # the full group, last by order
+                return up
+            lattice.SubgroupLattice.up_lists = property(corrupted)
+            sys.exit(cli.main(["sd", "named:D8"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "no common upper member" in proc.stderr
+
     def test_relabelled_z2_6_in_bounded_time(self, capsys, tmp_path):
         # 2 825 subgroups, so about 4 million pairs, each with its join
         G = elementary_abelian_group(2, 6)
@@ -293,6 +316,20 @@ class TestExploreCommand:
     def test_theorem5_verified(self, capsys):
         code, out, _ = run(capsys, "explore", "theorem5", "--p", "2", "--n", "3")
         assert code == 0 and "verified" in out
+
+    @pytest.mark.parametrize("p,env_cap", [(2, 4), (3, 16)])
+    def test_theorem5_max_order_reaches_builtins(self, capsys, monkeypatch, p, env_cap):
+        # --max-order overrides FACNUM_MAX_ORDER for every catalog group
+        monkeypatch.setenv("FACNUM_MAX_ORDER", str(env_cap))
+        code, out, err = run(capsys, "explore", "theorem5", "--p", str(p), "--n", "3",
+                             "--max-order", str(p**3))
+        assert code == 0 and "verified" in out, err
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_conjecture6_max_order_caps_builtins(self, capsys, n):
+        code, _, err = run(capsys, "explore", "conjecture6", "--p", "5", "--n", str(n),
+                           "--max-order", "4")
+        assert code == 3 and "exceeds the safety cap 4" in err
 
     @pytest.mark.parametrize("what", ["theorem5", "openproblem"])
     def test_closed_form_mismatch_exits_1_under_optimize(self, what):

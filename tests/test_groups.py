@@ -39,6 +39,9 @@ from helpers import (
     cyclic_group_of_order,
     dihedral_group,
     direct_product,
+    heisenberg_p3_table,
+    modular_p3_table,
+    order8_table,
     permutation_group,
     reduced_latin_squares,
 )
@@ -160,6 +163,27 @@ class TestNamedFamilies:
         monkeypatch.setattr(FiniteGroup, attr, broken)
         with pytest.raises(VerificationError, match=re.escape(f"self-check failed: {relation}")):
             builder()
+
+
+class TestPresentedTables:
+    # the named families come from generator data; these pin their element
+    # numbering to the coordinate rules they were first written with
+    def test_d8_and_q8(self):
+        assert np.array_equal(dihedral8().table, order8_table(0))
+        assert np.array_equal(quaternion8().table, order8_table(2))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_modular_and_heisenberg(self, p):
+        assert np.array_equal(modular_p3(p).table, modular_p3_table(p))
+        assert np.array_equal(heisenberg_p3(p).table, heisenberg_p3_table(p))
+
+    @pytest.mark.parametrize("gens", [
+        [(4, 0, []), (2, 1, [3])],  # s^2 = r, but s r s^-1 = r^3 moves r
+        [(4, 0, []), (2, 0, [2])],  # r -> r^2 is not an automorphism
+    ], ids=["power-not-fixed", "not-bijective"])
+    def test_inconsistent_presentation_rejected(self, gens):
+        with pytest.raises(ValidationError):
+            FiniteGroup(groups._presented_table(gens, None))
 
 
 # every group the lattice tests build, plus larger ones whose element
