@@ -550,7 +550,8 @@ def quotient(G: FiniteGroup, N, *, label: str | None = None) -> FiniteGroup:
     reps_arr = np.array(reps, dtype=np.int64)
     qtable = coset_id[t[np.ix_(reps_arr, reps_arr)]].astype(np.int32)
     qlabel = label or f"{G.label}/(order-{k} subgroup)"
-    Q = FiniteGroup(qtable, qlabel)
+    # no larger than G, which was admitted under the cap
+    Q = FiniteGroup(qtable, qlabel, max_order=G.order)
     if Q.order * k != G.order:
         raise VerificationError(
             f"|G/N| * |N| = {Q.order} * {k}, but |G| = {G.order}"
@@ -569,7 +570,7 @@ def permute_elements(G: FiniteGroup, perm) -> FiniteGroup:
     t = G.table
     new = np.empty_like(t)
     new[p[:, None], p[None, :]] = p[t]
-    return FiniteGroup(new, f"{G.label}~relabeled")
+    return FiniteGroup(new, f"{G.label}~relabeled", max_order=G.order)
 
 
 def is_elementary_abelian(G: FiniteGroup) -> tuple[bool, int | None, int | None]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,10 +30,12 @@ from .groups import (FiniteGroup, _pack, _right_cosets, _unpack, is_elementary_a
                      prime_power, quotient)
 
 DEFAULT_MAX_SUBGROUPS = 100_000
+# unordered member pairs sd may take: its permuting-pairs route tests
+# each pair in Python, a few microseconds a pair
+MAX_SD_PAIRS = 10_000_000
 
-# target element count per temporary block in the coset gathers of the
-# index-p extension
-_BLOCK_ELEMS = 4_000_000
+# cells per temporary block of the index-p level pass
+_LEVEL_CELLS = 1 << 16
 # uint64 cells per temporary block of the pair kernel: 2 MiB, one core's L2
 _PAIR_CELLS = 1 << 18
 
@@ -97,8 +98,11 @@ class SubgroupLattice:
         self._index = {s.bits: i for i, s in enumerate(self.subgroups)}
         self.index_of_trivial = 0
         self.index_of_full = len(self.subgroups) - 1
-        assert self.subgroups[0].bits == 1
-        assert self.subgroups[-1].order == group.order
+        if self.subgroups[0].bits != 1:
+            raise VerificationError("the least lattice member is not the trivial subgroup")
+        if self.subgroups[-1].order != group.order:
+            raise VerificationError(f"the largest lattice member has order "
+                                    f"{self.subgroups[-1].order}, not the group order {group.order}")
         self._words: np.ndarray | None = None
         self._up: list[np.ndarray] | None = None
         self._down: list[np.ndarray] | None = None
@@ -121,9 +125,6 @@ class SubgroupLattice:
         """Inclusion H_i <= H_j, O(words)."""
         bi = self._bits[i]
         return bi & self._bits[j] == bi
-
-    def meet_index(self, i: int, j: int) -> int:
-        return self._index[self._bits[i] & self._bits[j]]
 
     def join_index(self, i: int, j: int) -> int:
         """Smallest member containing both: members are sorted by order, so
@@ -231,15 +232,6 @@ class SubgroupLattice:
             if len(up[h]) == 2 and full in (int(up[h][0]), int(up[h][1]))
         ]
 
-    def check_intersection_closed(self) -> bool:
-        """Every pairwise AND of members is a member (exhaustive)."""
-        for i in range(len(self)):
-            bi = self._bits[i]
-            for j in range(i + 1, len(self)):
-                if (bi & self._bits[j]) not in self._index:
-                    return False
-        return True
-
 
 def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
     x = np.arange(G.order)
@@ -249,36 +241,49 @@ def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
     return y
 
 
-def _index_p_joins(G: FiniteGroup, p: int, powers: np.ndarray, h_bits: int) -> list[int]:
-    """Bitsets of the subgroups J = H u Hg u ... u Hg^(p-1) of a p-group,
-    one per join, for the g outside H with g^p in H that normalize H."""
-    t = G.table
-    nbytes = ((G.order + 63) // 64) * 8
-    in_h = _unpack(h_bits, G.order)
-    h_idx = np.flatnonzero(in_h)
-    cand = np.flatnonzero(in_h[powers] & ~in_h)
-    step = max(1, _BLOCK_ELEMS // ((p - 1) * len(h_idx)))
-    outside = []
-    for s in range(0, len(cand), step):
-        g = cand[s:s + step]
-        if not G.is_commutative:
-            conj = t[t[g[:, None], h_idx[None, :]], G.inverses[g][:, None]]
-            g = g[in_h[conj].all(axis=1)]
-        x, cosets = g, []
-        for _ in range(p - 1):
-            cosets.append(t[h_idx[None, :], x[:, None]])
-            x = t[x, g]
-        block = np.concatenate(cosets, axis=1)
-        # J \ H consists of candidates, so its least element is one: keep
-        # exactly the rows of those, one per join
-        outside.append(block[block.min(axis=1) == g])
-    outside = np.concatenate(outside)
-    member = np.zeros((len(outside), nbytes * 8), dtype=bool)
-    member[:, h_idx] = True
-    member[np.arange(len(outside))[:, None], outside] = True
-    packed = np.packbits(member, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[i:i + nbytes], "little")
-            for i in range(0, len(packed), nbytes)]
+def _index_p_level(G: FiniteGroup, p: int, powers: np.ndarray, level: list[int]):
+    """Joins of one order level of a p-group, as (position in level, join
+    bitset), sources in level order and g ascending within a source.  For
+    every H in the level and every g outside H with g^p in H that
+    normalizes H, J = H u Hg u ... u Hg^(p-1); J \\ H consists of such g,
+    so J is taken once, from its least element.  Sources and (H, g) pairs
+    are handled in chunks of about _LEVEL_CELLS cells, and element axes
+    lead, so the coset minimum reduces whole rows."""
+    n = G.order
+    nbytes = (n + 7) // 8
+    flat = G.table.ravel()
+    q = level[0].bit_count()
+    sources = max(1, _LEVEL_CELLS // n)
+    pairs = max(1, _LEVEL_CELLS // max((p - 1) * q, nbytes))
+    for base in range(0, len(level), sources):
+        chunk = level[base:base + sources]
+        raw = np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in chunk),
+                            dtype=np.uint8).reshape(len(chunk), nbytes)
+        in_h = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+        # row offsets of each source's elements in the flat table, (q, sources)
+        h_rows = np.ascontiguousarray(np.nonzero(in_h)[1].reshape(len(chunk), q).T) * n
+        pair_rows, pair_g = np.nonzero(in_h[:, powers] & ~in_h)
+        for s in range(0, len(pair_rows), pairs):
+            r, g = pair_rows[s:s + pairs], pair_g[s:s + pairs]
+            if not G.is_commutative:  # g^-1 (Hg) inside H
+                hg = flat[np.take(h_rows, r, axis=1) + g]
+                normal = in_h[r, flat[G.inverses[g] * n + hg]].all(axis=0)
+                r, g = r[normal], g[normal]
+            h = np.take(h_rows, r, axis=1)
+            x, cosets = g, []
+            for _ in range(p - 1):
+                cosets.append(flat[h + x])
+                x = flat[x * n + g]
+            outside = np.concatenate(cosets)
+            keep = outside.min(axis=0) == g
+            r, outside = r[keep], outside[:, keep]
+            joins = raw[r]  # the bytes of H, then the bits of J \\ H
+            np.bitwise_or.at(joins, (np.arange(len(r)), outside >> 3),
+                             (1 << (outside & 7)).astype(np.uint8))
+            packed = joins.tobytes()
+            yield from zip((r + base).tolist(),
+                           [int.from_bytes(packed[i:i + nbytes], "little")
+                            for i in range(0, len(packed), nbytes)])
 
 
 def _generic_joins(G: FiniteGroup, h_bits: int) -> list[int]:
@@ -320,12 +325,16 @@ def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> 
     """Materialize the full subgroup lattice by extension from the trivial
     subgroup, recording every extension H -> J as a containment edge.
 
-    In a group of prime-power order p^k, H is extended only by elements g
+    The frontier is consumed one generation at a time: the members found
+    while extending one generation form the next, in discovery order.  In
+    a group of prime-power order p^k, H is extended only by elements g
     outside H with g^p in H that normalize H, so every join J = H<g> has
     index p over H and is the coset-power union H u Hg u ... u Hg^(p-1).
-    That finds every subgroup: each J > 1 of a p-group has a maximal
-    subgroup H, which is normal of index p, and J = H<g> for any g in
-    J \\ H.  Other orders take the generic extension <H, g>, built coset
+    A generation is then one order level, and _index_p_level extends it
+    in one vectorised pass over all (H, g) pairs, in chunks.  That finds
+    every subgroup: each J > 1 of a p-group has a maximal subgroup H,
+    which is normal of index p, and J = H<g> for any g in J \\ H.  Other
+    orders take the generic extension <H, g> member by member, built coset
     by coset of H, for every g outside H except those that provably
     regenerate a join already taken.  Under both rules every pair H < K
     is joined by a chain of recorded edges (in a p-group the normalizer
@@ -336,19 +345,22 @@ def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> 
     full = (1 << G.order) - 1
     pk = prime_power(G.order)
     if pk is None:
-        joins = partial(_generic_joins, G)
+        def joins(level):
+            for r, h_bits in enumerate(level):
+                for j_bits in _generic_joins(G, h_bits):
+                    yield r, j_bits
     else:
-        joins = partial(_index_p_joins, G, pk[0], _pth_powers(G, pk[0]))
+        joins = partial(_index_p_level, G, pk[0], _pth_powers(G, pk[0]))
 
     found: dict[int, int] = {1: 0}  # bitset -> discovery number
     members = [1]
     src: list[int] = []
     dst: list[int] = []
-    frontier: deque[int] = deque([1] if G.order > 1 else [])
-    while frontier:
-        h_bits = frontier.popleft()
-        h = found[h_bits]
-        for j_bits in joins(h_bits):
+    level = [1] if G.order > 1 else []
+    while level:
+        ids = [found[h_bits] for h_bits in level]
+        frontier: list[int] = []
+        for r, j_bits in joins(level):
             j = found.get(j_bits)
             if j is None:
                 j = found[j_bits] = len(members)
@@ -361,8 +373,9 @@ def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> 
                     )
                 if j_bits != full:
                     frontier.append(j_bits)
-            src.append(h)
+            src.append(ids[r])
             dst.append(j)
+        level = frontier
     return SubgroupLattice(G, members, (np.array(src, dtype=np.int64),
                                         np.array(dst, dtype=np.int64)))
 
@@ -522,9 +535,16 @@ def sd(lat: SubgroupLattice) -> Fraction:
     """Subgroup commutativity degree as an exact rational.
 
     Computed as sum_H F2(H) / |L|^2 and, independently, as the fraction of
-    permuting ordered pairs; the two routes must agree exactly.
+    permuting ordered pairs; the two routes must agree exactly.  Lattices
+    with more than MAX_SD_PAIRS unordered member pairs are refused.
     """
     m = len(lat)
+    pairs = m * (m - 1) // 2
+    if pairs > MAX_SD_PAIRS:
+        raise ResourceLimitError(
+            f"sd over {m} subgroups would compare {pairs} unordered pairs, "
+            f"more than the limit {MAX_SD_PAIRS}"
+        )
     via_f2 = sum(f2_of_member(lat, h) for h in range(m))
     via_pairs = permuting_pairs(lat)
     if via_f2 != via_pairs:

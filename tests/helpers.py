@@ -7,10 +7,12 @@ with sympy.  Keep them dumb.
 """
 
 import math
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
+from facnum.errors import ResourceLimitError
 from facnum.groups import FiniteGroup
 
 SUBSET_ORACLE_MAX_ORDER = 16
@@ -182,3 +184,72 @@ def heisenberg_p3_table(p: int) -> np.ndarray:
     a, b, c = i // (p * p), i // p % p, i % p
     return (((a[:, None] + a) % p) * p * p + ((b[:, None] + b) % p) * p
             + (c[:, None] + c + a[:, None] * b) % p)
+
+
+def meet_index(lat, i: int, j: int) -> int:
+    """Lattice index of H_i ∩ H_j, looked up by its bitset."""
+    return lat.index_of(lat.subgroups[i].bits & lat.subgroups[j].bits)
+
+
+def intersection_closed(lat) -> bool:
+    """Every pairwise AND of members is a member (exhaustive)."""
+    bits = {s.bits for s in lat.subgroups}
+    return all(a & b in bits for a, b in combinations(bits, 2))
+
+
+def index_p_joins_per_member(G: FiniteGroup, p: int, powers, h_bits: int) -> list[int]:
+    """Bitsets of the joins J = H u Hg u ... u Hg^(p-1) of one member H of
+    a p-group, for the g outside H with g^p in H that normalize H, each
+    from the least element of J \\ H, g ascending: numpy calls per member."""
+    t = G.table
+    nbytes = ((G.order + 63) // 64) * 8
+    raw = np.frombuffer(h_bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+    in_h = np.unpackbits(raw, count=G.order, bitorder="little").view(bool)
+    h_idx = np.flatnonzero(in_h)
+    g = np.flatnonzero(in_h[powers] & ~in_h)
+    if not G.is_commutative:
+        conj = t[t[g[:, None], h_idx[None, :]], G.inverses[g][:, None]]
+        g = g[in_h[conj].all(axis=1)]
+    x, cosets = g, []
+    for _ in range(p - 1):
+        cosets.append(t[h_idx[None, :], x[:, None]])
+        x = t[x, g]
+    block = np.concatenate(cosets, axis=1)
+    outside = block[block.min(axis=1) == g]
+    member = np.zeros((len(outside), nbytes * 8), dtype=bool)
+    member[:, h_idx] = True
+    member[np.arange(len(outside))[:, None], outside] = True
+    packed = np.packbits(member, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i:i + nbytes], "little") for i in range(0, len(packed), nbytes)]
+
+
+def discovery_per_member(G: FiniteGroup, p: int, cap: int = 100_000):
+    """(members in discovery order, edge sources, edge targets) of a
+    p-group, from a breadth-first queue that extends one member at a time
+    with index_p_joins_per_member; the same ResourceLimitError text as
+    enumerate_subgroups past the cap."""
+    powers = np.arange(G.order)
+    for _ in range(p - 1):
+        powers = G.table[powers, np.arange(G.order)]
+    full = (1 << G.order) - 1
+    found = {1: 0}
+    members = [1]
+    src, dst = [], []
+    queue = deque([1] if G.order > 1 else [])
+    while queue:
+        h_bits = queue.popleft()
+        for j_bits in index_p_joins_per_member(G, p, powers, h_bits):
+            if j_bits not in found:
+                found[j_bits] = len(members)
+                members.append(j_bits)
+                if len(members) > cap:
+                    raise ResourceLimitError(
+                        f"subgroup count exceeded the cap {cap}: stopped after "
+                        f"{len(members)} subgroups, the largest of order "
+                        f"{max(b.bit_count() for b in members)} (pass max_subgroups to override)"
+                    )
+                if j_bits != full:
+                    queue.append(j_bits)
+            src.append(found[h_bits])
+            dst.append(found[j_bits])
+    return members, src, dst

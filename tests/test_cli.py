@@ -215,6 +215,33 @@ class TestF2Command:
         code, _, err = run(capsys, "f2", f"named:{name}", "--max-order", "4")
         assert code == 3 and "exceeds the safety cap 4" in err
 
+    def test_max_order_reaches_quotient_route(self, capsys, monkeypatch):
+        # the quotients built by --verify are no larger than the group, which
+        # --max-order admitted over the smaller FACNUM_MAX_ORDER
+        monkeypatch.setenv("FACNUM_MAX_ORDER", "16")
+        code, out, err = run(capsys, "f2", "named:Elem:p=2:n=5", "--verify", "--max-order", "32")
+        assert code == 0, err
+        assert "verify eq2_quotient: pass" in out
+
+    def test_lattice_without_full_group_exits_1_under_optimize(self):
+        # the endpoint checks of SubgroupLattice must survive python -O
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, lattice
+            init = lattice.SubgroupLattice.__init__
+            def without_full(self, group, found, edges):
+                k = found.index((1 << group.order) - 1)
+                src, dst = edges
+                keep = (src != k) & (dst != k)
+                src, dst = src[keep], dst[keep]
+                init(self, group, found[:k] + found[k + 1:], (src - (src > k), dst - (dst > k)))
+            lattice.SubgroupLattice.__init__ = without_full
+            sys.exit(cli.main(["f2", "named:D8"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "largest lattice member has order 4, not the group order 8" in proc.stderr
+
 
 class TestSdCommand:
     def test_d8(self, capsys):
@@ -297,6 +324,15 @@ class TestSdCommand:
         code, out, _ = run(capsys, "sd", f"table:{path}")
         assert code == 0 and " = 1/1 ~ " in out
         assert time.perf_counter() - t0 < 30
+
+    def test_pair_limit_exits_3_in_bounded_time(self, capsys):
+        # Z2^7 has 29 212 subgroups, 4.3*10^8 unordered pairs
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "sd", "named:Elem:p=2:n=7")
+        assert code == 3
+        assert ("sd over 29212 subgroups would compare 426655866 unordered pairs, "
+                "more than the limit 10000000") in err
+        assert time.perf_counter() - t0 < 10
 
     def test_broken_self_check_exits_1_under_optimize(self):
         # Q8 with a wrong inverse fails y^-1 x y = x^-1; python -O must

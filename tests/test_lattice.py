@@ -25,6 +25,7 @@ from facnum.groups import (
     modular_p3,
     parse_cayley_table,
     permute_elements,
+    prime_power,
     quaternion8,
 )
 from facnum.lattice import (
@@ -51,7 +52,10 @@ from helpers import (
     cyclic_group_of_order,
     dihedral_group,
     direct_product,
+    discovery_per_member,
     f2_by_product_sets,
+    intersection_closed,
+    meet_index,
     mobius_oracle,
     permutation_group,
     permuting_pairs_by_product_sets,
@@ -199,7 +203,7 @@ class TestEnumeration:
             G = builder()
             lat = enumerate_subgroups(G)
             assert all(G.order % s.order == 0 for s in lat.subgroups)
-            assert lat.check_intersection_closed()
+            assert intersection_closed(lat)
 
     def test_subgroup_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -243,8 +247,68 @@ class TestEnumeration:
         full = lat.index_of_full
         assert all(lat.leq(h, full) for h in range(len(lat)))
         assert all(lat.leq(0, h) for h in range(len(lat)))
-        assert lat.meet_index(full, 3) == 3
+        assert meet_index(lat, full, 3) == 3
         assert lat.join_index(0, 3) == 3
+
+
+def discovery(G, **kwargs):
+    """Members in discovery order and the edge arrays, as enumerate_subgroups
+    hands them to SubgroupLattice."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "SubgroupLattice",
+                   lambda group, found, edges: (found, edges[0].tolist(), edges[1].tolist()))
+        return enumerate_subgroups(G, **kwargs)
+
+
+def prime_of(G) -> int:
+    return prime_power(G.order)[0] if G.order > 1 else 2
+
+
+COMPOSITE = {label for label, _ in NON_PRIME_POWER}
+P_GROUPS = [(label, builder) for label, builder in ORACLE_GROUPS
+            if label.split("~")[0] not in COMPOSITE] + [
+    ("E27", lambda: heisenberg_p3(3)),
+    ("M27", lambda: modular_p3(3)),
+    ("Z2^5", lambda: elementary_abelian_group(2, 5)),
+    ("E125", lambda: heisenberg_p3(5)),
+    ("M125", lambda: modular_p3(5)),
+    ("Z27xZ27", lambda: build_abelian(PartitionType(3, (3, 3)))),
+    ("Z2^6", lambda: elementary_abelian_group(2, 6)),
+]
+
+
+class TestLevelPass:
+    """The index-p level pass against the per-member pass it replaced:
+    the same members in the same discovery order, the same edges."""
+
+    @pytest.mark.parametrize("label,builder", P_GROUPS + [
+        ("E2197", lambda: heisenberg_p3(13)),
+        ("M2197", lambda: modular_p3(13)),
+        ("Z2^7~5", relabeled(lambda: elementary_abelian_group(2, 7), 5)),
+    ])
+    def test_against_per_member_pass(self, label, builder):
+        G = builder()
+        assert discovery(G) == discovery_per_member(G, prime_of(G))
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("label,builder", [
+        group for group in P_GROUPS
+        if group[0] in {"D8~1", "Q8~2", "M16", "Z2xD8", "E27", "M27", "Z2^5", "E125"}])
+    def test_every_chunk_boundary(self, label, builder, cells, monkeypatch):
+        monkeypatch.setattr(lattice, "_LEVEL_CELLS", cells)
+        G = builder()
+        assert discovery(G) == discovery_per_member(G, prime_of(G))
+
+    @pytest.mark.parametrize("n,cap", [(8, 1000), (8, 100_000), (12, None)])
+    def test_cap_message_matches_per_member_pass(self, n, cap):
+        G = elementary_abelian_group(2, n)
+        with pytest.raises(ResourceLimitError) as expected:
+            discovery_per_member(G, 2, cap or lattice.DEFAULT_MAX_SUBGROUPS)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as raised:
+            enumerate_subgroups(G, max_subgroups=cap)
+        assert time.perf_counter() - t0 < 5
+        assert str(raised.value) == str(expected.value)
 
 
 class TestContainment:
@@ -481,6 +545,15 @@ class TestSd:
 
     def test_q8_is_one(self):
         assert sd(enumerate_subgroups(quaternion8())) == 1
+
+    def test_pair_limit(self, monkeypatch):
+        lat = enumerate_subgroups(dihedral8())  # 10 members, 45 unordered pairs
+        monkeypatch.setattr(lattice, "MAX_SD_PAIRS", 45)
+        assert sd(lat) == Fraction(23, 25)
+        monkeypatch.setattr(lattice, "MAX_SD_PAIRS", 44)
+        with pytest.raises(ResourceLimitError, match="sd over 10 subgroups would compare "
+                                                     "45 unordered pairs, more than the limit 44"):
+            sd(lat)
 
     def test_heisenberg(self):
         # sum of F2 over members: 1 + 13*3 + 4*23 + 121 = 253, over 19^2 pairs
