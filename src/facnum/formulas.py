@@ -1,11 +1,13 @@
 """Closed-form subgroup and factorization counts for p-groups.
 
 Everything here is exact: values are Python ints, symbolic forms are
-``IntPolynomial``.  The rank-2 formulas are evaluated by computing the
-integer bracket first and then dividing by (p-1)^2 resp. (p-1)^4 with an
-exactness check that raises VerificationError (also under python -O), so a
-transcription slip blows up immediately instead of producing a plausible
-wrong number.
+``IntPolynomial``.  Each closed form is written once, as a polynomial in p
+(the ``*_poly`` function); the integer function of the same family checks
+its inputs, evaluates that polynomial at p and keeps its value checks.
+Quotients such as the rank-2 brackets over (p-1)^2 resp. (p-1)^4 are
+polynomial ``exact_div``s, which raise VerificationError (also under
+python -O) on any remainder, so a transcription slip blows up immediately
+instead of producing a plausible wrong number.
 
 An ordered pair of subgroups (H, K) with HK = G (as a product set) is a
 factorization of G; f2_* functions count those pairs for the families
@@ -100,18 +102,7 @@ def gaussian_binomial(n: int, i: int, p: int) -> int:
     order p**n: prod (p^n - 1)...(p^(n-i+1) - 1) / (p^i - 1)...(p - 1).
     """
     _require_prime(p)
-    if n < 0 or i < 0:
-        raise DomainError(f"n and i must be nonnegative, got n={n}, i={i}")
-    if i > n:
-        raise DomainError(f"i must not exceed n, got i={i} > n={n}")
-    value = 1
-    for k in range(1, i + 1):
-        value *= p ** (n - i + k) - 1
-        quo, rem = divmod(value, p**k - 1)
-        if rem:
-            raise VerificationError(f"gaussian binomial division not exact at step {k}")
-        value = quo
-    return value
+    return gaussian_binomial_poly(n, i)(p)
 
 
 def gaussian_binomial_poly(n: int, i: int) -> IntPolynomial:
@@ -129,14 +120,14 @@ def gaussian_binomial_poly(n: int, i: int) -> IntPolynomial:
 
 def total_subgroups_elementary(n: int, p: int) -> int:
     """Total number of subgroups of an elementary abelian group of order p**n."""
-    return sum(gaussian_binomial(n, i, p) for i in range(n + 1))
+    _require_prime(p)
+    return total_subgroups_elementary_poly(n)(p)
 
 
 def total_subgroups_elementary_poly(n: int) -> IntPolynomial:
-    total = IntPolynomial()
-    for i in range(n + 1):
-        total = total + gaussian_binomial_poly(n, i)
-    return total
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    return sum((gaussian_binomial_poly(n, i) for i in range(n + 1)), IntPolynomial())
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +161,7 @@ def f2_elementary(n: int, p: int) -> int:
     """F2 of an elementary abelian group of order p**n, by the alternating
     sum  sum_i (-1)^i a(n,i) * total(n-i)^2 * p^C(i,2)."""
     _require_prime(p)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    totals = [total_subgroups_elementary(m, p) for m in range(n + 1)]
-    value = 0
-    for i in range(n + 1):
-        term = gaussian_binomial(n, i, p) * totals[n - i] ** 2 * p ** _binom2(i)
-        value += -term if i % 2 else term
+    value = f2_elementary_poly(n)(p)
     if value <= 0:
         raise VerificationError(f"alternating sum must stay positive, got {value}")
     return value
@@ -215,14 +200,7 @@ def subgroup_count_rank2(p: int, a1: int, a2: int) -> int:
     a2 + 1 subgroups.
     """
     _require_prime(p)
-    if a1 < 0 or a2 < a1:
-        raise DomainError(f"need 0 <= a1 <= a2, got a1={a1}, a2={a2}")
-    bracket = sum(c * p**e for e, c in enumerate(_rank2_count_bracket_coeffs(a1, a2)))
-    quo, rem = divmod(bracket, (p - 1) ** 2)
-    if rem:
-        raise VerificationError(
-            f"rank-2 count bracket not divisible by (p-1)^2 at p={p}, ({a1},{a2})")
-    return quo
+    return subgroup_count_rank2_poly(a1, a2)(p)
 
 
 def subgroup_count_rank2_poly(a1: int, a2: int) -> IntPolynomial:
@@ -248,24 +226,21 @@ def _rank2_f2_bracket_coeffs(a1: int, a2: int) -> list[int]:
 
 
 def f2_rank2(p: int, a1: int, a2: int) -> int:
-    """F2 of Z_{p^a1} x Z_{p^a2} for 1 <= a1 <= a2: an eight-term bracket
-    divided by (p-1)^4, exactly."""
+    """F2 of Z_{p^a1} x Z_{p^a2} for 1 <= a1 <= a2: f2_rank2_poly at p."""
     _require_prime(p)
     if a1 < 1:
         raise DomainError(f"a1 must be >= 1 (use f2_cyclic for rank 1), got {a1}")
     if a2 < a1:
         raise DomainError(f"need a1 <= a2, got a1={a1}, a2={a2}")
-    bracket = sum(c * p**e for e, c in enumerate(_rank2_f2_bracket_coeffs(a1, a2)))
-    quo, rem = divmod(bracket, (p - 1) ** 4)
-    if rem:
+    value = f2_rank2_poly(a1, a2)(p)
+    if value <= 0:
         raise VerificationError(
-            f"rank-2 F2 bracket not divisible by (p-1)^4 at p={p}, ({a1},{a2})")
-    if quo <= 0:
-        raise VerificationError(f"rank-2 F2 must be positive, got {quo} at p={p}, ({a1},{a2})")
-    return quo
+            f"rank-2 F2 must be positive, got {value} at p={p}, ({a1},{a2})")
+    return value
 
 
 def f2_rank2_poly(a1: int, a2: int) -> IntPolynomial:
+    """An eight-term bracket divided by (p-1)^4, exactly."""
     if a1 < 1 or a2 < a1:
         raise DomainError(f"need 1 <= a1 <= a2, got a1={a1}, a2={a2}")
     x = IntPolynomial.x()
@@ -286,21 +261,12 @@ def f2_rank2_via_eq4(p: int, a1: int, a2: int) -> int:
         raise DomainError(f"a1 must be >= 1, got {a1}")
     if a2 < a1:
         raise DomainError(f"need a1 <= a2, got a1={a1}, a2={a2}")
-
-    def L(x: int, y: int) -> int:
-        lo, hi = sorted((x, y))
-        return subgroup_count_rank2(p, lo, hi)
-
-    return (
-        p * L(a1 - 1, a2 - 1) ** 2
-        - p * L(a1 - 1, a2) ** 2
-        - L(a1, a2 - 1) ** 2
-        + L(a1, a2) ** 2
-    )
+    return f2_rank2_via_eq4_poly(a1, a2)(p)
 
 
 def f2_rank2_via_eq4_poly(a1: int, a2: int) -> IntPolynomial:
-    """Symbolic version of f2_rank2_via_eq4; equals f2_rank2_poly identically."""
+    """Symbolic version of f2_rank2_via_eq4, built from subgroup_count_rank2_poly
+    alone; equals f2_rank2_poly identically."""
     if a1 < 1 or a2 < a1:
         raise DomainError(f"need 1 <= a1 <= a2, got a1={a1}, a2={a2}")
     x = IntPolynomial.x()
@@ -320,9 +286,7 @@ def f2_rank2_via_eq4_poly(a1: int, a2: int) -> IntPolynomial:
 def f2_corollary4(p: int, n: int) -> int:
     """F2 of Z_p x Z_{p^n}: (2n-1)p^2 + (2n+1)p + (2n+3)."""
     _require_prime(p)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return (2 * n - 1) * p * p + (2 * n + 1) * p + (2 * n + 3)
+    return f2_corollary4_poly(n)(p)
 
 
 def f2_corollary4_poly(n: int) -> IntPolynomial:
@@ -346,7 +310,7 @@ def f2_modular_p3(p: int) -> int:
     """F2 of the modular group M(p^3) = <x,y | x^(p^2)=y^p=1, y^-1 x y = x^(p+1)>,
     p odd: 3p^2 + 5p + 7 (the same value as Z_p x Z_{p^2})."""
     _require_odd_prime(p, "M(p^3)")
-    return 3 * p * p + 5 * p + 7
+    return f2_modular_p3_poly()(p)
 
 
 def f2_modular_p3_poly() -> IntPolynomial:
@@ -361,9 +325,8 @@ def f2_heisenberg_p3(p: int) -> int:
     2 + p(p+1)(p+2) + 2 + (p+1)(p^2+p+2) + 1.
     """
     _require_odd_prime(p, "E(p^3)")
-    direct = 2 * p**3 + 5 * p**2 + 5 * p + 7
-    census = 2 + p * (p + 1) * (p + 2) + 2 + (p + 1) * (p * p + p + 2) + 1
-    if direct != census:
+    direct = f2_heisenberg_p3_poly()(p)
+    if direct != f2_heisenberg_census_poly()(p):
         raise VerificationError(f"E(p^3) pair census mismatch at p={p}")
     return direct
 

@@ -578,18 +578,10 @@ def is_elementary_abelian(G: FiniteGroup) -> tuple[bool, int | None, int | None]
     group reports (True, None, 0)."""
     if G.order == 1:
         return True, None, 0
-    if not G.is_commutative:
+    pk = prime_power(G.order)
+    if pk is None or not G.is_commutative:
         return False, None, None
-    m = G.order
-    p = 2
-    while m % p:
-        p += 1
-    n = 0
-    while m % p == 0:
-        m //= p
-        n += 1
-    if m != 1:
-        return False, None, None
+    p, n = pk
     orders = G.element_orders()
     if not np.all(orders[1:] == p):
         return False, None, None

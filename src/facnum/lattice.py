@@ -33,6 +33,9 @@ DEFAULT_MAX_SUBGROUPS = 100_000
 # unordered member pairs sd may take: its permuting-pairs route tests
 # each pair in Python, a few microseconds a pair
 MAX_SD_PAIRS = 10_000_000
+# members up to which verify_inversion computes sd(H) member by member on an
+# abelian lattice; above it, it takes sd(H) = 1
+SD_ABELIAN_CAP = 64
 
 # cells per temporary block of the index-p level pass
 _LEVEL_CELLS = 1 << 16
@@ -408,27 +411,27 @@ class MobiusTable:
         return True
 
 
+def _mobius_recursion(lists: list[np.ndarray], order: range) -> tuple[int, ...]:
+    """The defining Moebius recursion from the endpoint order[0], which gets
+    mu = 1; each later member h of order gets minus the sum of mu over
+    lists[h][1:], the members strictly between h and the endpoint (lists[h][0]
+    is h itself)."""
+    mu = [0] * len(lists)
+    mu[order[0]] = 1
+    for h in order[1:]:
+        mu[h] = -sum(map(mu.__getitem__, lists[h][1:].tolist()))
+    return tuple(mu)
+
+
 def mobius_to_top(lat: SubgroupLattice) -> MobiusTable:
     """mu(H, G) via the defining recursion mu(G,G) = 1,
     mu(H,G) = -sum_{H < K <= G} mu(K,G)."""
-    up = lat.up_lists
-    m = len(lat)
-    mu = [0] * m
-    mu[m - 1] = 1
-    for h in range(m - 2, -1, -1):
-        mu[h] = -sum(map(mu.__getitem__, up[h][1:].tolist()))  # up[h][0] is h
-    return MobiusTable(lat, tuple(mu))
+    return MobiusTable(lat, _mobius_recursion(lat.up_lists, range(len(lat) - 1, -1, -1)))
 
 
 def mobius_from_bottom(lat: SubgroupLattice) -> tuple[int, ...]:
     """mu(1, H) for every member H, computed inside the interval [1, H]."""
-    down = lat.down_lists
-    m = len(lat)
-    mu = [0] * m
-    mu[0] = 1
-    for h in range(1, m):
-        mu[h] = -sum(map(mu.__getitem__, down[h][1:].tolist()))  # down[h][0] is h
-    return tuple(mu)
+    return _mobius_recursion(lat.down_lists, range(len(lat)))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +623,7 @@ class InversionReport:
 
 
 def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
-                     quotient_cap: int = 400, sd_cap: int = 64,
-                     threads: int | None = None) -> InversionReport:
+                     quotient_cap: int = 400, threads: int | None = None) -> InversionReport:
     """Verify F2 = sum_H sd(H)|L(H)|^2 mu(H,G) on a concrete lattice, and for
     abelian G the specializations sum |L(H)|^2 mu(H,G) and
     sum |L(G/H)|^2 mu(1,H).
@@ -631,8 +633,8 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
     number of members containing H (the correspondence theorem), which is
     cross-checked against the constructed route whenever both run.  sd(H)
     is computed definitionally per member unless G is abelian and the
-    lattice is larger than sd_cap, in which case sd(H) = 1 (subgroups of an
-    abelian group commute elementwise).
+    lattice is larger than SD_ABELIAN_CAP, in which case sd(H) = 1
+    (subgroups of an abelian group commute elementwise).
     """
     lat = lattice if lattice is not None else enumerate_subgroups(G)
     m = len(lat)
@@ -642,7 +644,7 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
     down = lat.down_lists
     dd = lat.down_degrees.tolist()
 
-    if G.is_commutative and m > sd_cap:
+    if G.is_commutative and m > SD_ABELIAN_CAP:
         report.sd_mode = "abelian (sd = 1)"
         report.eq1 = sum(dd[h] * dd[h] * mu_top[h] for h in range(m) if mu_top[h])
     else:
@@ -765,27 +767,21 @@ def verify_hall(G: FiniteGroup, *, lattice: SubgroupLattice | None = None) -> Ha
 # JSON export
 # ---------------------------------------------------------------------------
 
-def lattice_document(lat: SubgroupLattice, *, include_mobius: bool = True,
-                     include_f2: bool = True, include_sd: bool = True,
-                     threads: int | None = None) -> dict:
+def lattice_document(lat: SubgroupLattice, *, threads: int | None = None) -> dict:
     """Lattice as a JSON-ready document.  Bitsets are hex strings; every
     count that can get big (Moebius values, F2, sd) is a decimal string so
     nothing is ever squeezed through a float."""
-    doc: dict = {
+    return {
         "label": lat.group.label,
         "order": lat.group.order,
         "size": len(lat),
         "subgroups": [
             {"bits": hex(s.bits), "order": s.order} for s in lat.subgroups
         ],
+        "mobius_to_top": [str(v) for v in lat.mobius_top.values],
+        "f2": str(f2_bruteforce(lat, threads=threads)),
+        "sd": str(sd(lat)),
     }
-    if include_mobius:
-        doc["mobius_to_top"] = [str(v) for v in lat.mobius_top.values]
-    if include_f2:
-        doc["f2"] = str(f2_bruteforce(lat, threads=threads))
-    if include_sd:
-        doc["sd"] = str(sd(lat))
-    return doc
 
 
 def lattice_json(lat: SubgroupLattice, **kwargs) -> str:

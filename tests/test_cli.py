@@ -133,6 +133,21 @@ class TestFormulaCommand:
         assert proc.returncode == 1, proc.stderr
         assert "verification failed" in proc.stderr
 
+    def test_census_mismatch_exits_1_under_optimize(self):
+        # an E(p^3) pair census off by one must fail the value check, and
+        # the check must survive python -O
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, formulas
+            census = formulas.f2_heisenberg_census_poly
+            formulas.f2_heisenberg_census_poly = lambda: census() + 1
+            sys.exit(cli.main(["formula", "Ep3", "--p", "3"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "E(p^3) pair census mismatch at p=3" in proc.stderr
+
 
 class TestF2Command:
     def test_q8(self, capsys):

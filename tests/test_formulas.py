@@ -25,6 +25,7 @@ from facnum.formulas import (
     subgroup_count_rank2,
     subgroup_count_rank2_poly,
     total_subgroups_elementary,
+    total_subgroups_elementary_poly,
     _rank2_f2_bracket_coeffs,
 )
 from facnum.groups import build_abelian, elementary_abelian_group
@@ -319,3 +320,67 @@ def test_inexact_bracket_raises(monkeypatch, coeffs, compute):
     monkeypatch.setattr(formulas, coeffs, broken)
     with pytest.raises(VerificationError, match="not divisible|remainder"):
         compute()
+
+
+# Every closed form on its invalid inputs: the exact error type and message,
+# for the integer and the polynomial form alike.  The integer form checks p
+# before its other arguments.
+_ODD_ONLY = ("is defined for odd primes only; at p=2 the non-abelian order-8 groups "
+             "are D8 (F2 = 41) and Q8 (F2 = 17)")
+
+
+@pytest.mark.parametrize("fn,args,exc,message", [
+    (gaussian_binomial, (2, 1, 4), ValidationError, "p must be a prime, got 4"),
+    (gaussian_binomial, (-1, 0, 4), ValidationError, "p must be a prime, got 4"),
+    (gaussian_binomial, (2, 1, 3.0), ValidationError, "p must be a prime, got 3.0"),
+    (gaussian_binomial, (2, 3, 5), DomainError, "i must not exceed n, got i=3 > n=2"),
+    (gaussian_binomial, (-1, 0, 2), DomainError, "n and i must be nonnegative, got n=-1, i=0"),
+    (gaussian_binomial, (2, -1, 2), DomainError, "n and i must be nonnegative, got n=2, i=-1"),
+    (gaussian_binomial_poly, (2, 3), DomainError, "i must not exceed n, got i=3 > n=2"),
+    (gaussian_binomial_poly, (-1, 0), DomainError,
+     "n and i must be nonnegative, got n=-1, i=0"),
+    (gaussian_binomial_poly, (2, -1), DomainError,
+     "n and i must be nonnegative, got n=2, i=-1"),
+    (total_subgroups_elementary, (2, 4), ValidationError, "p must be a prime, got 4"),
+    (total_subgroups_elementary, (0, 4), ValidationError, "p must be a prime, got 4"),
+    # a negative rank is not the empty group, so its subgroup count is not 0
+    (total_subgroups_elementary, (-1, 2), DomainError, "n must be nonnegative, got -1"),
+    (total_subgroups_elementary_poly, (-1,), DomainError, "n must be nonnegative, got -1"),
+    (f2_elementary, (2, 4), ValidationError, "p must be a prime, got 4"),
+    (f2_elementary, (-1, 4), ValidationError, "p must be a prime, got 4"),
+    (f2_elementary, (-1, 2), DomainError, "n must be nonnegative, got -1"),
+    (f2_elementary_poly, (-1,), DomainError, "n must be nonnegative, got -1"),
+    (subgroup_count_rank2, (4, 1, 2), ValidationError, "p must be a prime, got 4"),
+    (subgroup_count_rank2, (4, 3, 2), ValidationError, "p must be a prime, got 4"),
+    (subgroup_count_rank2, (2, -1, 2), DomainError, "need 0 <= a1 <= a2, got a1=-1, a2=2"),
+    (subgroup_count_rank2, (2, 3, 2), DomainError, "need 0 <= a1 <= a2, got a1=3, a2=2"),
+    (subgroup_count_rank2_poly, (-1, 2), DomainError, "need 0 <= a1 <= a2, got a1=-1, a2=2"),
+    (subgroup_count_rank2_poly, (3, 2), DomainError, "need 0 <= a1 <= a2, got a1=3, a2=2"),
+    (f2_rank2, (4, 1, 2), ValidationError, "p must be a prime, got 4"),
+    (f2_rank2, (4, 0, 3), ValidationError, "p must be a prime, got 4"),
+    (f2_rank2, (2, 0, 3), DomainError, "a1 must be >= 1 (use f2_cyclic for rank 1), got 0"),
+    (f2_rank2, (2, 3, 2), DomainError, "need a1 <= a2, got a1=3, a2=2"),
+    (f2_rank2_poly, (0, 3), DomainError, "need 1 <= a1 <= a2, got a1=0, a2=3"),
+    (f2_rank2_poly, (3, 2), DomainError, "need 1 <= a1 <= a2, got a1=3, a2=2"),
+    (f2_rank2_via_eq4, (4, 1, 2), ValidationError, "p must be a prime, got 4"),
+    (f2_rank2_via_eq4, (2, 0, 3), DomainError, "a1 must be >= 1, got 0"),
+    (f2_rank2_via_eq4, (2, 3, 2), DomainError, "need a1 <= a2, got a1=3, a2=2"),
+    (f2_rank2_via_eq4_poly, (0, 3), DomainError, "need 1 <= a1 <= a2, got a1=0, a2=3"),
+    (f2_rank2_via_eq4_poly, (3, 2), DomainError, "need 1 <= a1 <= a2, got a1=3, a2=2"),
+    (f2_corollary4, (4, 2), ValidationError, "p must be a prime, got 4"),
+    (f2_corollary4, (4, 0), ValidationError, "p must be a prime, got 4"),
+    (f2_corollary4, (2, 0), DomainError, "n must be >= 1, got 0"),
+    (f2_corollary4_poly, (0,), DomainError, "n must be >= 1, got 0"),
+    (f2_cyclic, (-1,), DomainError, "n must be nonnegative, got -1"),
+    (f2_modular_p3, (4,), ValidationError, "p must be a prime, got 4"),
+    (f2_modular_p3, (2,), DomainError, "M(p^3) " + _ODD_ONLY),
+    (f2_heisenberg_p3, (4,), ValidationError, "p must be a prime, got 4"),
+    (f2_heisenberg_p3, (2,), DomainError, "E(p^3) " + _ODD_ONLY),
+    (lattice_size_heisenberg_p3, (4,), ValidationError, "p must be a prime, got 4"),
+    (lattice_size_heisenberg_p3, (2,), DomainError, "E(p^3) " + _ODD_ONLY),
+])
+def test_invalid_input_errors_pinned(fn, args, exc, message):
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
