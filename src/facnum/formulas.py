@@ -111,11 +111,17 @@ def gaussian_binomial_poly(n: int, i: int) -> IntPolynomial:
         raise DomainError(f"n and i must be nonnegative, got n={n}, i={i}")
     if i > n:
         raise DomainError(f"i must not exceed n, got i={i} > n={n}")
+    return _gaussian_row(n)[i]
+
+
+def _gaussian_row(n: int) -> list[IntPolynomial]:
+    """[n, i] for every i <= n, each from the one before:
+    [n, i] = [n, i-1] (p^(n-i+1) - 1) / (p^i - 1), an exact_div."""
     x = IntPolynomial.x()
-    value = IntPolynomial.constant(1)
-    for k in range(1, i + 1):
-        value = (value * (x ** (n - i + k) - 1)).exact_div(x**k - 1)
-    return value
+    row = [IntPolynomial.constant(1)]
+    for i in range(1, n + 1):
+        row.append((row[-1] * (x ** (n - i + 1) - 1)).exact_div(x**i - 1))
+    return row
 
 
 def total_subgroups_elementary(n: int, p: int) -> int:
@@ -127,7 +133,7 @@ def total_subgroups_elementary(n: int, p: int) -> int:
 def total_subgroups_elementary_poly(n: int) -> IntPolynomial:
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    return sum((gaussian_binomial_poly(n, i) for i in range(n + 1)), IntPolynomial())
+    return sum(_gaussian_row(n), IntPolynomial())
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +178,11 @@ def f2_elementary_poly(n: int) -> IntPolynomial:
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     x = IntPolynomial.x()
-    totals = [total_subgroups_elementary_poly(m) for m in range(n + 1)]
+    rows = [_gaussian_row(m) for m in range(n + 1)]
+    totals = [sum(row, IntPolynomial()) for row in rows]
     value = IntPolynomial()
     for i in range(n + 1):
-        term = gaussian_binomial_poly(n, i) * totals[n - i] ** 2 * x ** _binom2(i)
+        term = rows[n][i] * totals[n - i] ** 2 * x ** _binom2(i)
         value = value - term if i % 2 else value + term
     return value
 

@@ -41,6 +41,9 @@ SD_ABELIAN_CAP = 64
 _LEVEL_CELLS = 1 << 16
 # uint64 cells per temporary block of the pair kernel: 2 MiB, one core's L2
 _PAIR_CELLS = 1 << 18
+# cells per temporary of the containment pass: a chunk's mark block, and the
+# up-list entries its edge targets gather
+_CONTAIN_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class SubgroupLattice:
         rank[order] = np.arange(len(found), dtype=np.int64)
         self._edges = (rank[edges[0]], rank[edges[1]])
         self.orders = np.array([s.order for s in self.subgroups], dtype=np.int64)
+        ends = (np.flatnonzero(np.diff(self.orders)) + 1).tolist() + [len(found)]
+        self._classes = list(zip([0] + ends[:-1], ends))  # (start, end) per order
         self._index = {s.bits: i for i, s in enumerate(self.subgroups)}
         self.index_of_trivial = 0
         self.index_of_full = len(self.subgroups) - 1
@@ -109,6 +114,8 @@ class SubgroupLattice:
         self._words: np.ndarray | None = None
         self._up: list[np.ndarray] | None = None
         self._down: list[np.ndarray] | None = None
+        self._up_flat: np.ndarray | None = None
+        self._down_flat: np.ndarray | None = None
         self._up_degrees: np.ndarray | None = None
         self._down_degrees: np.ndarray | None = None
         self._mobius_top: MobiusTable | None = None
@@ -154,31 +161,15 @@ class SubgroupLattice:
     # -- containment structure ------------------------------------------------
 
     def _ensure_containment(self) -> None:
-        """Up-lists from the extension edges, visiting members in decreasing
-        index: up[h] = {h} u the up-lists of every edge target of h.  The
-        down-lists are their transpose, each member first."""
+        """Up-lists from the extension edges (_up_lists), each a view into
+        one flat int64 array; the down-lists are their transpose
+        (_transpose), each member first."""
         if self._up is not None:
             return
-        m = len(self)
-        src, dst = self._edges
-        by_src = np.argsort(src, kind="stable")
-        targets = np.split(dst[by_src], np.cumsum(np.bincount(src, minlength=m))[:-1])
-        mark = np.zeros(m, dtype=bool)
-        up: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * m
-        for h in range(m - 1, -1, -1):
-            mark[h] = True
-            for j in targets[h].tolist():
-                mark[up[j]] = True
-            up[h] = np.flatnonzero(mark[h:]) + h
-            mark[up[h]] = False
-        self._up_degrees = np.array([len(u) for u in up], dtype=np.int64)
-        sup_arr = np.concatenate(up)
-        sub_arr = np.repeat(np.arange(m, dtype=np.int64), self._up_degrees)
-        # sort by sup, the member itself ahead of its proper subgroups
-        by_sup = np.argsort(2 * sup_arr + (sub_arr != sup_arr), kind="stable")
-        self._down_degrees = np.bincount(sup_arr, minlength=m)
-        self._down = np.split(sub_arr[by_sup], np.cumsum(self._down_degrees)[:-1])
-        self._up = up
+        up, self._up_degrees = _up_lists(len(self), self._edges, self._classes)
+        self._up_flat, self._up = up, _split(up, self._up_degrees)
+        down, self._down_degrees = _transpose(up, self._up_degrees)
+        self._down_flat, self._down = down, _split(down, self._down_degrees)
 
     @property
     def up_lists(self) -> list[np.ndarray]:
@@ -225,15 +216,101 @@ class SubgroupLattice:
         return self._mobius_top
 
     def maximal_indices(self) -> list[int]:
-        """Members covered only by the full group."""
-        if len(self) == 1:
-            return []
-        up = self.up_lists
-        full = self.index_of_full
-        return [
-            h for h in range(len(self) - 1)
-            if len(up[h]) == 2 and full in (int(up[h][0]), int(up[h][1]))
-        ]
+        """Members covered only by the full group: every proper member's
+        up-list holds itself and the full group, and a maximal one's holds
+        nothing else."""
+        return np.flatnonzero(self.up_degrees[:-1] == 2).tolist()
+
+
+def _up_lists(m: int, edges: tuple[np.ndarray, np.ndarray],
+              classes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, degrees): the up-list of every member, member by member in one
+    flat int64 array, built one order class at a time from the top class
+    down.  Members of one order are pairwise incomparable, so every edge
+    target of a class lies in a class already done, and up[h] is h followed
+    by the union of its edge targets' up-lists.  Each chunk of a class
+    gathers its targets' up-lists with one ragged index, marks them in a
+    (rows, m - lo) bool block (lo: the end of the class), reads the marks
+    back in order by skipping zero 8-byte words, and puts each member first.
+    A chunk's block and its gathered entries stay within _CONTAIN_CELLS
+    cells (a chunk has at least one row)."""
+    by_src = np.argsort(edges[0], kind="stable")
+    src, dst = edges[0][by_src], edges[1][by_src]
+    first_edge = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=m), out=first_edge[1:])
+    degrees = np.zeros(m, dtype=np.int64)
+    where = np.zeros(m, dtype=np.int64)  # start of each up-list in buf
+    buf = np.empty(4 * m, dtype=np.int64)  # the lists by class, top class first
+    mark = np.zeros(0, dtype=bool)  # grown on demand, cleared after each chunk
+    used = 0
+    spans = []
+    for a, lo in reversed(classes):
+        width = (m - lo + 7) // 8 * 8  # whole words per block row
+        rows_cap = _CONTAIN_CELLS // max(width, 1)
+        gathered = np.zeros(first_edge[lo] - first_edge[a] + 1, dtype=np.int64)
+        np.cumsum(degrees[dst[first_edge[a]:first_edge[lo]]], out=gathered[1:])
+        gathered = gathered[first_edge[a:lo + 1] - first_edge[a]]  # before each row
+        spans.append(used)
+        r = a
+        while r < lo:
+            # as many rows as the block and the gathered entries allow
+            end = a - 1 + int(np.searchsorted(gathered, gathered[r - a] + _CONTAIN_CELLS,
+                                              side="right"))
+            end = max(r + 1, min(lo, r + rows_cap, end))
+            rows = end - r
+            e0, e1 = first_edge[r], first_edge[end]
+            t = dst[e0:e1]
+            d = degrees[t]
+            entry = np.arange(int(d.sum())) + np.repeat(where[t] - (np.cumsum(d) - d), d)
+            if len(mark) < rows * width:
+                mark = np.zeros(rows * width, dtype=bool)
+            block = mark[:rows * width]
+            block[np.repeat((src[e0:e1] - r) * width - lo, d) + buf[entry]] = True
+            words = block.view(np.uint64)
+            word = np.flatnonzero(words != 0)
+            bit = np.flatnonzero(words[word].view(bool))
+            cell = word[bit >> 3] * 8 + (bit & 7)
+            block[cell] = False
+            row, col = np.divmod(cell, width)
+            need = used + rows + len(cell)
+            if need > len(buf):
+                grown = np.empty(max(2 * len(buf), need), dtype=np.int64)
+                grown[:used] = buf[:used]
+                buf = grown
+            deg = np.bincount(row, minlength=rows) + 1
+            head = used + np.cumsum(deg) - deg
+            buf[head] = np.arange(r, end)
+            buf[used + 1 + row + np.arange(len(cell))] = col + lo
+            where[r:end], degrees[r:end] = head, deg
+            used, r = need, end
+    spans.append(used)
+    pieces = [buf[s:e] for s, e in zip(spans[:-1], spans[1:])]
+    return np.concatenate(pieces[::-1]), degrees
+
+
+def _transpose(up: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, degrees) of the down-lists from the flat up-lists.  One sort of
+    the keys sup*m + sub puts the subgroups of each member in an ascending
+    run, the member itself last (a member is the largest index among its
+    subgroups); moving it to the front of its run gives its down-list."""
+    m = len(degrees)
+    # the sorted runs lie one place right of their place in down, which
+    # leaves the first slot of each run free for its member
+    down = np.empty(len(up) + 1, dtype=np.int64)
+    keys = down[1:]
+    np.multiply(up, m, out=keys)
+    keys += np.repeat(np.arange(m, dtype=np.int64), degrees)
+    keys.sort()
+    keys %= m
+    down_degrees = np.bincount(up, minlength=m)
+    down[np.cumsum(down_degrees) - down_degrees] = np.arange(m)
+    return down[:-1], down_degrees
+
+
+def _split(flat: np.ndarray, degrees: np.ndarray) -> list[np.ndarray]:
+    """flat as consecutive views of the given lengths."""
+    bounds = np.cumsum(degrees).tolist()
+    return [flat[s:e] for s, e in zip([0] + bounds[:-1], bounds)]
 
 
 def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
@@ -411,27 +488,37 @@ class MobiusTable:
         return True
 
 
-def _mobius_recursion(lists: list[np.ndarray], order: range) -> tuple[int, ...]:
-    """The defining Moebius recursion from the endpoint order[0], which gets
-    mu = 1; each later member h of order gets minus the sum of mu over
-    lists[h][1:], the members strictly between h and the endpoint (lists[h][0]
-    is h itself)."""
-    mu = [0] * len(lists)
-    mu[order[0]] = 1
-    for h in order[1:]:
-        mu[h] = -sum(map(mu.__getitem__, lists[h][1:].tolist()))
-    return tuple(mu)
+def _mobius_recursion(flat: np.ndarray, degrees: np.ndarray,
+                      classes: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The defining Moebius recursion, summed one order class at a time.
+    flat holds each member's list (its degrees[h] entries: h first, then the
+    members between h and the endpoint) member by member.  The endpoint is
+    the one member of classes[0] and gets mu = 1; each member h of a later
+    class gets minus the sum of mu over its list.  Members of one class are
+    incomparable, so a class reads only classes already done, and h's own
+    entry adds 0 because its mu is still unset.  The sums run over an
+    object array of Python ints, so they stay exact."""
+    ends = np.cumsum(degrees)
+    starts = ends - degrees
+    mu = np.zeros(len(degrees), dtype=object)
+    mu[classes[0][0]] = 1
+    for a, b in classes[1:]:
+        terms = mu[flat[starts[a]:ends[b - 1]]]
+        mu[a:b] = -np.add.reduceat(terms, starts[a:b] - starts[a])
+    return tuple(mu.tolist())
 
 
 def mobius_to_top(lat: SubgroupLattice) -> MobiusTable:
     """mu(H, G) via the defining recursion mu(G,G) = 1,
     mu(H,G) = -sum_{H < K <= G} mu(K,G)."""
-    return MobiusTable(lat, _mobius_recursion(lat.up_lists, range(len(lat) - 1, -1, -1)))
+    degrees = lat.up_degrees  # builds containment on first use
+    return MobiusTable(lat, _mobius_recursion(lat._up_flat, degrees, lat._classes[::-1]))
 
 
 def mobius_from_bottom(lat: SubgroupLattice) -> tuple[int, ...]:
     """mu(1, H) for every member H, computed inside the interval [1, H]."""
-    return _mobius_recursion(lat.down_lists, range(len(lat)))
+    degrees = lat.down_degrees  # builds containment on first use
+    return _mobius_recursion(lat._down_flat, degrees, lat._classes)
 
 
 # ---------------------------------------------------------------------------

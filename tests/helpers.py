@@ -63,15 +63,28 @@ def permuting_pairs_by_product_sets(G: FiniteGroup, subgroups=None) -> int:
     )
 
 
-def mobius_oracle(lat) -> list[int]:
-    """mu(H, G) for every lattice member via exact zeta-matrix inversion."""
+def zeta_inverse(lat):
+    """The exact inverse of the lattice's zeta matrix (sympy), whose entry
+    (H, K) is mu(H, K)."""
     from sympy import Matrix
 
     m = len(lat)
     zeta = Matrix(m, m, lambda i, j: 1 if lat.leq(i, j) else 0)
-    mu = zeta.inv()
+    return zeta.inv()
+
+
+def mobius_oracle(lat, mu=None) -> list[int]:
+    """mu(H, G) for every lattice member via exact zeta-matrix inversion
+    (mu: a zeta_inverse already computed)."""
+    mu = zeta_inverse(lat) if mu is None else mu
     top = lat.index_of_full
-    return [int(mu[h, top]) for h in range(m)]
+    return [int(mu[h, top]) for h in range(len(lat))]
+
+
+def mobius_bottom_oracle(lat, mu=None) -> list[int]:
+    """mu(1, H) for every lattice member, from the same inverse."""
+    mu = zeta_inverse(lat) if mu is None else mu
+    return [int(mu[0, h]) for h in range(len(lat))]
 
 
 def permutation_group(generators, label: str = "perm") -> FiniteGroup:

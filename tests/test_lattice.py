@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -29,6 +30,7 @@ from facnum.groups import (
     quaternion8,
 )
 from facnum.lattice import (
+    SubgroupLattice,
     _pair_hits,
     _popcount_dtype,
     closure,
@@ -56,10 +58,12 @@ from helpers import (
     f2_by_product_sets,
     intersection_closed,
     meet_index,
+    mobius_bottom_oracle,
     mobius_oracle,
     permutation_group,
     permuting_pairs_by_product_sets,
     subgroups_by_subsets,
+    zeta_inverse,
 )
 
 
@@ -332,6 +336,81 @@ class TestContainment:
             assert lat.down_degrees[h] == len(below)
 
 
+# Lattices the containment tests cut into small chunks.  D60, S4 and A5
+# take the generic extension path, whose edges can skip order classes.
+CHUNKED_GROUPS = [
+    ("Z2^5", lambda: elementary_abelian_group(2, 5)),
+    ("Z2^6", lambda: elementary_abelian_group(2, 6)),
+    ("Z3^3", lambda: elementary_abelian_group(3, 3)),
+    ("E125", lambda: heisenberg_p3(5)),
+    ("D60", lambda: dihedral_group(30)),
+    ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+    ("A5", lambda: permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])),
+]
+
+
+def assert_lists_match_leq(lat):
+    """Up- and down-lists against the bit test of leq, run over the word
+    matrix: contents, ascending order with each member first, int64 dtype,
+    and the degrees."""
+    w = lat.words
+    for h in range(len(lat)):
+        above = np.flatnonzero(~(w[h] & ~w).any(axis=1)).tolist()
+        below = np.flatnonzero(~(w & ~w[h]).any(axis=1)).tolist()
+        up, down = lat.up_lists[h], lat.down_lists[h]
+        assert up.dtype == np.int64 and down.dtype == np.int64
+        assert up.tolist() == above  # h is the least member above h
+        assert down.tolist() == [h] + below[:-1]  # and the greatest below it
+        assert below[-1] == h
+        assert lat.up_degrees[h] == len(above)
+        assert lat.down_degrees[h] == len(below)
+
+
+def costliest_row(lat) -> int:
+    """Cells of the costliest member in the containment pass: its mark row,
+    at most the member count rounded up to whole words, or the up-list
+    entries its edge targets gather."""
+    src, dst = lat._edges
+    gathered = np.zeros(len(lat), dtype=np.int64)
+    np.add.at(gathered, src, lat.up_degrees[dst])
+    return max(len(lat) + 7, int(gathered.max()))
+
+
+def lists_digest(lat) -> str:
+    h = hashlib.sha256()
+    for lists in (lat.up_lists, lat.down_lists):
+        for u in lists:
+            h.update(len(u).to_bytes(4, "little"))
+            h.update(u.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestChunkedContainment:
+    """The class-by-class containment pass under small cell budgets: one row
+    per chunk, and at least three (exactly three in the class of the
+    costliest row), so every class of more than three members is cut into
+    several chunks that must be put back in order."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("label,builder", CHUNKED_GROUPS)
+    def test_every_chunk_boundary(self, label, builder, rows, monkeypatch):
+        G = builder()
+        cells = 1 if rows == 1 else rows * costliest_row(enumerate_subgroups(G))
+        monkeypatch.setattr(lattice, "_CONTAIN_CELLS", cells)
+        assert_lists_match_leq(enumerate_subgroups(G))
+
+    def test_relabeled_z2_7_against_recorded_digests(self):
+        # digests of the lists and Moebius tuples that the member-by-member
+        # containment loop and Moebius sums built before the class passes
+        lat = enumerate_subgroups(relabeled(lambda: elementary_abelian_group(2, 7), 5)())
+        assert all(u.dtype == np.int64 for u in lat.up_lists + lat.down_lists)
+        assert lists_digest(lat) == (
+            "dce4d97f0fa10f20ca1881a57ed744a2c61c946080b554d02ae596461c132246")
+        mu = repr((mobius_to_top(lat).values, mobius_from_bottom(lat))).encode()
+        assert hashlib.sha256(mu).hexdigest() == (
+            "68a1c237c92029ba80f2eba1c9fe7034b3aa294ec1bc6eba2f180295a9d00b85")
+
+
 class TestJoins:
     @pytest.mark.parametrize("label,builder", ORACLE_GROUPS + [
         ("E27", lambda: heisenberg_p3(3)),
@@ -374,12 +453,48 @@ class TestMobius:
         lat = enumerate_subgroups(elementary_abelian_group(2, 3))
         assert mobius_to_top(lat)[0] == -8
 
-    @pytest.mark.parametrize("label,builder", SMALL_GROUPS[:8])
+    @pytest.mark.parametrize("label,builder", SMALL_GROUPS[:8] + [
+        group for group in CHUNKED_GROUPS if group[0] != "Z2^6"])
     def test_against_zeta_inverse_oracle(self, label, builder):
         lat = enumerate_subgroups(builder())
-        table = mobius_to_top(lat)
-        assert list(table.values) == mobius_oracle(lat)
+        inverse = zeta_inverse(lat)
+        table, bottom = mobius_to_top(lat), mobius_from_bottom(lat)
+        assert list(table.values) == mobius_oracle(lat, inverse)
+        assert list(bottom) == mobius_bottom_oracle(lat, inverse)
+        assert all(type(v) is int for v in table.values + bottom)
         assert table.check_recursion()
+
+    def test_both_recursions_against_hall_on_z2_6(self):
+        # sympy inverts the 2 825-member zeta matrix in about a minute;
+        # every member is elementary abelian, and so is every G/H, so
+        # Hall's formula gives mu(1, H) and mu(H, G) = mu(1, G/H)
+        lat = enumerate_subgroups(elementary_abelian_group(2, 6))
+        top, bottom = mobius_to_top(lat), mobius_from_bottom(lat)
+        ranks = [s.order.bit_length() - 1 for s in lat.subgroups]
+        assert list(top.values) == [hall_mobius(6 - k, 2, True) for k in ranks]
+        assert list(bottom) == [hall_mobius(k, 2, True) for k in ranks]
+        assert all(type(v) is int for v in top.values + bottom)
+        assert top.check_recursion()
+
+    def test_names_the_tracer_rebinds(self):
+        # perfbench/tracer.py rebinds these by name: it wraps the four
+        # properties' getters and the two functions
+        for attr in ("up_lists", "down_lists", "up_degrees", "down_degrees"):
+            assert isinstance(vars(SubgroupLattice)[attr], property)
+        assert callable(lattice.mobius_to_top) and callable(lattice.mobius_from_bottom)
+
+    @pytest.mark.parametrize("fn", [mobius_to_top, mobius_from_bottom])
+    def test_builds_containment_through_a_property(self, fn, monkeypatch):
+        # the tracer times containment as the first property access on a
+        # lattice, so the recursions must not build it behind the properties
+        builds = []
+        for attr in ("up_lists", "down_lists", "up_degrees", "down_degrees"):
+            def getter(lat, fget=vars(SubgroupLattice)[attr].fget):
+                builds.append(lat._up is None)
+                return fget(lat)
+            monkeypatch.setattr(SubgroupLattice, attr, property(getter))
+        fn(enumerate_subgroups(dihedral8()))
+        assert builds and builds[0]
 
     def test_from_bottom_matches_hall_on_elementary(self):
         lat = enumerate_subgroups(elementary_abelian_group(2, 3))
@@ -696,6 +811,20 @@ class TestFrattini:
     def test_trivial_group(self):
         lat = enumerate_subgroups(cyclic_group(2, 0))
         assert frattini_index(lat) == 0
+
+    @pytest.mark.parametrize("label,builder", ORACLE_GROUPS)
+    def test_against_maximal_subgroup_oracle(self, label, builder):
+        # maximal: no member strictly between it and G, by leq alone
+        lat = enumerate_subgroups(builder())
+        top = lat.index_of_full
+        proper = range(top)
+        maxima = [h for h in proper
+                  if not any(lat.leq(h, k) for k in proper if k != h)]
+        assert lat.maximal_indices() == maxima
+        bits = lat.subgroups[top].bits
+        for h in maxima:
+            bits &= lat.subgroups[h].bits
+        assert frattini_index(lat) == lat.index_of(bits)
 
 
 class TestExport:
