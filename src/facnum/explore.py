@@ -8,6 +8,11 @@ along the lexicographic order on partitions of n.  The partition report
 ranks under BOTH writing conventions (nondecreasing exponent tuples and
 standard nonincreasing notation) because the monotonicity verdict
 genuinely depends on the choice.
+
+All three run one sweep, `_sweep`, over catalog entries.  Every entry
+whose family has a closed form (cyclic, rank-2 and elementary abelian
+types, M(p^3), E(p^3)) carries it, and the sweep cross-checks it against
+brute force on every row: a disagreement raises `VerificationError`.
 """
 
 from __future__ import annotations
@@ -21,15 +26,15 @@ from .formulas import (
     PartitionType,
     f2_cyclic,
     f2_elementary,
+    f2_heisenberg_p3,
+    f2_modular_p3,
     f2_rank2,
     is_prime,
 )
 from .groups import (
     FiniteGroup,
     build_abelian,
-    cyclic_group,
     dihedral8,
-    elementary_abelian_group,
     heisenberg_p3,
     load_cayley_table,
     modular_p3,
@@ -88,12 +93,19 @@ class CatalogEntry:
     source: str  # "builtin" or a file path
     order: int
     build: Callable[[], FiniteGroup]
+    closed_form: int | None = None  # F2 by a closed form, checked by _sweep
 
 
-def _abelian_entry(p: int, alphas: tuple[int, ...], *, max_order: int | None = None) -> CatalogEntry:
+def _abelian_entry(p: int, alphas: tuple[int, ...], *, label: str | None = None,
+                   max_order: int | None = None) -> CatalogEntry:
+    """The abelian group of type alphas, with the closed form of its family
+    (cyclic, rank 2 or elementary) if it has one."""
     t = PartitionType(p, alphas)
-    return CatalogEntry(t.label(), "builtin", t.order,
-                        lambda t=t: build_abelian(t, max_order=max_order))
+    closed = (f2_cyclic(*alphas) if t.rank == 1 else f2_rank2(p, *alphas) if t.rank == 2
+              else f2_elementary(t.rank, p) if set(alphas) == {1} else None)
+    label = label or t.label()
+    return CatalogEntry(label, "builtin", t.order,
+                        lambda: build_abelian(t, label=label, max_order=max_order), closed)
 
 
 def theorem5_catalog(p: int, n: int, *, max_order: int | None = None) -> list[CatalogEntry]:
@@ -105,18 +117,35 @@ def theorem5_catalog(p: int, n: int, *, max_order: int | None = None) -> list[Ca
                           f"got n={n}")
     q = p**n
 
-    def builtin(label, build, *args):  # built under the run's order cap
-        return CatalogEntry(label, "builtin", q, lambda: build(*args, max_order=max_order))
+    def builtin(label, build, *args, closed=None):  # built under the run's order cap
+        return CatalogEntry(label, "builtin", q, lambda: build(*args, max_order=max_order),
+                            closed)
 
-    entries = [builtin(f"Z{p}^{n}", elementary_abelian_group, p, n),
-               builtin(f"Z{q}", cyclic_group, p, n)]
+    entries = [_abelian_entry(p, (1,) * n, label=f"Z{p}^{n}", max_order=max_order),
+               _abelian_entry(p, (n,), label=f"Z{q}", max_order=max_order)]
     if n == 3:
         entries.insert(1, _abelian_entry(p, (1, 2), max_order=max_order))  # Z_p x Z_p^2
         if p == 2:
             entries += [builtin("D8", dihedral8), builtin("Q8", quaternion8)]
         else:
-            entries += [builtin(f"M({q})", modular_p3, p), builtin(f"E({q})", heisenberg_p3, p)]
+            entries += [builtin(f"M({q})", modular_p3, p, closed=f2_modular_p3(p)),
+                        builtin(f"E({q})", heisenberg_p3, p, closed=f2_heisenberg_p3(p))]
     return entries
+
+
+def _sweep(entries: Sequence[CatalogEntry], threads: int | None,
+           max_subgroups: int | None) -> list[tuple[CatalogEntry, int, int]]:
+    """(entry, |L|, F2) for each entry, by brute force.  An entry's closed
+    form, if it has one, must agree."""
+    out = []
+    for entry in entries:
+        lat = enumerate_subgroups(entry.build(), max_subgroups=max_subgroups)
+        f2 = f2_bruteforce(lat, threads=threads)
+        if entry.closed_form is not None and entry.closed_form != f2:
+            raise VerificationError(f"closed form {entry.closed_form} disagrees with "
+                                    f"brute force {f2} for {entry.label}")
+        out.append((entry, len(lat), f2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +190,19 @@ class Theorem5Report:
 
 
 def check_theorem5(p: int, n: int, *, threads: int | None = None,
-                   max_order: int | None = None) -> Theorem5Report:
+                   max_order: int | None = None,
+                   max_subgroups: int | None = None) -> Theorem5Report:
     """Brute-force F2 over the full catalog of groups of order p^n (n = 2, 3)
     and check the extremes: strict maximum at the elementary abelian group,
     minimum 2n + 1 at the cyclic group."""
     entries = theorem5_catalog(p, n, max_order=max_order)
-    rows = []
-    values: dict[str, int] = {}
-    for entry in entries:
-        G = entry.build()
-        lat = enumerate_subgroups(G)
-        f2 = f2_bruteforce(lat, threads=threads)
-        values[entry.label] = f2
-        rows.append({
-            "label": entry.label,
-            "source": entry.source,
-            "order": entry.order,
-            "lattice_size": str(len(lat)),
-            "f2": str(f2),
-        })
+    swept = _sweep(entries, threads, max_subgroups)
+    rows = [{"label": e.label, "source": e.source, "order": e.order,
+             "lattice_size": str(size), "f2": str(f2)} for e, size, f2 in swept]
+    values = {e.label: f2 for e, _, f2 in swept}
     elem_label = entries[0].label
     cyclic_label = f"Z{p ** n}"
     elem_value = values[elem_label]
-    closed = f2_elementary(n, p)
-    if elem_value != closed:
-        raise VerificationError(f"brute-force F2 = {elem_value} of {elem_label} disagrees "
-                                f"with the closed form f2_elementary({n}, {p}) = {closed}")
     problems = []
     for label, v in values.items():
         if label != elem_label and v >= elem_value:
@@ -266,34 +282,21 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     bound = f2_elementary(n, p)
-    entries: list[CatalogEntry] = []
     if n in (2, 3):
-        entries.extend(theorem5_catalog(p, n, max_order=max_order))
+        entries = theorem5_catalog(p, n, max_order=max_order)
     else:
-        for forms in partitions(n):
-            entries.append(_abelian_entry(p, forms.nondecreasing, max_order=max_order))
+        entries = [_abelian_entry(p, pf.nondecreasing, max_order=max_order)
+                   for pf in partitions(n)]
     order = p**n
     for path in extra_tables:
         G = load_cayley_table(path, max_order=max_order)
         if G.order != order:
             raise DomainError(f"{path}: table has order {G.order}, expected p^n = {order}")
         entries.append(CatalogEntry(G.label, str(path), order, lambda G=G: G))
-    rows = []
-    counterexamples = []
-    for entry in entries:
-        G = entry.build()
-        lat = enumerate_subgroups(G, max_subgroups=max_subgroups)
-        f2 = f2_bruteforce(lat, threads=threads)
-        within = f2 <= bound
-        if not within:
-            counterexamples.append(f"{entry.label} has F2 = {f2} > {bound}")
-        rows.append({
-            "label": entry.label,
-            "source": entry.source,
-            "order": entry.order,
-            "f2": str(f2),
-            "within_bound": within,
-        })
+    rows = [{"label": e.label, "source": e.source, "order": e.order, "f2": str(f2),
+             "within_bound": f2 <= bound} for e, _, f2 in _sweep(entries, threads, max_subgroups)]
+    counterexamples = [f"{r['label']} has F2 = {r['f2']} > {bound}"
+                       for r in rows if not r["within_bound"]]
     complete = n <= 3
     if complete:
         note = f"all isomorphism types of order {p}^{n} are covered"
@@ -321,7 +324,8 @@ class MonotonicityReport:
     verdicts: dict[str, dict]
 
     @property
-    def monotone_somewhere(self) -> bool:
+    def passed(self) -> bool:
+        """Monotone under at least one writing convention."""
         return any(v["monotone"] for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
@@ -367,32 +371,15 @@ def open_problem_table(p: int, n: int, *, threads: int | None = None,
     if not is_prime(p):
         raise ValidationError(f"p must be a prime, got {p!r}")
     forms = partitions(n)
-    rows = []
-    for pf in forms:
-        t = PartitionType(p, pf.nondecreasing)
-        G = build_abelian(t, max_order=max_order)
-        lat = enumerate_subgroups(G, max_subgroups=max_subgroups)
-        f2 = f2_bruteforce(lat, threads=threads)
-        if t.rank == 1:
-            closed = f2_cyclic(n)
-        elif t.rank == 2:
-            closed = f2_rank2(p, *pf.nondecreasing)
-        elif all(a == 1 for a in pf.nondecreasing):
-            closed = f2_elementary(n, p)
-        else:
-            closed = None
-        if closed is not None and closed != f2:
-            raise VerificationError(
-                f"closed form {closed} disagrees with brute force {f2} for {t.label()}"
-            )
-        rows.append({
-            "nondecreasing": list(pf.nondecreasing),
-            "nonincreasing": list(pf.nonincreasing),
-            "label": t.label(),
-            "lattice_size": str(len(lat)),
-            "f2": str(f2),
-            "closed_form": None if closed is None else str(closed),
-        })
+    entries = [_abelian_entry(p, pf.nondecreasing, max_order=max_order) for pf in forms]
+    rows = [{
+        "nondecreasing": list(pf.nondecreasing),
+        "nonincreasing": list(pf.nonincreasing),
+        "label": e.label,
+        "lattice_size": str(size),
+        "f2": str(f2),
+        "closed_form": None if e.closed_form is None else str(e.closed_form),
+    } for pf, (e, size, f2) in zip(forms, _sweep(entries, threads, max_subgroups))]
 
     verdicts: dict[str, dict] = {}
     for name, key in (("nondecreasing_lex", "nondecreasing"),

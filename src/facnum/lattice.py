@@ -36,6 +36,9 @@ MAX_SD_PAIRS = 10_000_000
 # members up to which verify_inversion computes sd(H) member by member on an
 # abelian lattice; above it, it takes sd(H) = 1
 SD_ABELIAN_CAP = 64
+# members up to which verify_inversion builds each quotient G/H; above it,
+# |L(G/H)| comes from the correspondence theorem
+QUOTIENT_CAP = 400
 
 # cells per temporary block of the index-p level pass
 _LEVEL_CELLS = 1 << 16
@@ -667,7 +670,9 @@ class InversionReport:
 
     eq1 is sum_H sd(H) |L(H)|^2 mu(H, G) (always computed); for abelian G
     the two specializations are added: eq2_subgroup = sum |L(H)|^2 mu(H,G)
-    and eq2_quotient = sum |L(G/H)|^2 mu(1,H).
+    and eq2_quotient = sum |L(G/H)|^2 mu(1,H).  `checks` holds the verdict
+    of each check, in the order eq1, eq2_subgroup, eq2_quotient, hall:
+    "pass", "FAIL" or "skipped: <reason>".
     """
 
     label: str
@@ -682,10 +687,19 @@ class InversionReport:
     hall_consistent: bool | None = None
     skipped: dict[str, str] = field(default_factory=dict)
     mismatches: list[str] = field(default_factory=list)
+    checks: dict[str, str] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.mismatches
+
+    def check(self, name: str, ok: bool, mismatch: str) -> None:
+        """Record one comparison of the check `name`, which fails as soon
+        as one of its comparisons does."""
+        if not ok:
+            self.mismatches.append(mismatch)
+        if self.checks.get(name) != "FAIL":
+            self.checks[name] = "pass" if ok else "FAIL"
 
     def to_dict(self) -> dict:
         return {
@@ -704,19 +718,16 @@ class InversionReport:
             "passed": self.passed,
         }
 
-    def summary(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return f"{self.label}: F2={self.f2} inversion {state}"
-
 
 def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
-                     quotient_cap: int = 400, threads: int | None = None) -> InversionReport:
+                     threads: int | None = None) -> InversionReport:
     """Verify F2 = sum_H sd(H)|L(H)|^2 mu(H,G) on a concrete lattice, and for
     abelian G the specializations sum |L(H)|^2 mu(H,G) and
-    sum |L(G/H)|^2 mu(1,H).
+    sum |L(G/H)|^2 mu(1,H); for a p-group also Hall's formula for mu(1, G),
+    and for an abelian p-group for mu(1, H) of every member H.
 
     The quotient form builds every quotient G/H with mu(1,H) != 0 when the
-    lattice has at most quotient_cap members; above that, |L(G/H)| is the
+    lattice has at most QUOTIENT_CAP members; above that, |L(G/H)| is the
     number of members containing H (the correspondence theorem), which is
     cross-checked against the constructed route whenever both run.  sd(H)
     is computed definitionally per member unless G is abelian and the
@@ -731,9 +742,11 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
     down = lat.down_lists
     dd = lat.down_degrees.tolist()
 
+    if G.is_commutative:
+        report.eq2_subgroup = sum(dd[h] * dd[h] * mu_top[h] for h in range(m) if mu_top[h])
     if G.is_commutative and m > SD_ABELIAN_CAP:
         report.sd_mode = "abelian (sd = 1)"
-        report.eq1 = sum(dd[h] * dd[h] * mu_top[h] for h in range(m) if mu_top[h])
+        report.eq1 = report.eq2_subgroup
     else:
         f2m = [f2_of_member(lat, h) for h in range(m)]
         # sd(H) * |L(H)|^2 == sum of F2 over members of H, exactly
@@ -741,61 +754,58 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
             mu_top[h] * sum(map(f2m.__getitem__, down[h].tolist()))
             for h in range(m) if mu_top[h]
         )
-    if report.eq1 != report.f2:
-        report.mismatches.append(f"eq1 = {report.eq1} != F2 = {report.f2}")
+    report.check("eq1", report.eq1 == report.f2, f"eq1 = {report.eq1} != F2 = {report.f2}")
 
-    if not G.is_commutative:
+    if G.is_commutative:
+        report.check("eq2_subgroup", report.eq2_subgroup == report.f2,
+                     f"eq2_subgroup = {report.eq2_subgroup} != F2 = {report.f2}")
+        mu_bot = mobius_from_bottom(lat)
+        ud = lat.up_degrees.tolist()
+        corr = sum(ud[h] * ud[h] * mu_bot[h] for h in range(m) if mu_bot[h])
+        if m <= QUOTIENT_CAP:
+            report.quotient_method = "constructed"
+            total = 0
+            for h in range(m):
+                if not mu_bot[h]:
+                    continue
+                qsize = len(enumerate_subgroups(quotient(G, lat.subgroups[h])))
+                report.check("eq2_quotient", qsize == ud[h],
+                             f"|L(G/H)| = {qsize} but {ud[h]} members contain H (member {h})")
+                total += qsize * qsize * mu_bot[h]
+            report.check("eq2_quotient", total == corr,
+                         f"quotient route {total} != correspondence route {corr}")
+        else:
+            report.quotient_method = "correspondence"
+            total = corr
+        report.eq2_quotient = total
+        report.check("eq2_quotient", total == report.f2,
+                     f"eq2_quotient = {total} != F2 = {report.f2}")
+    else:
         reason = ("group is not abelian: the lattice forms require sd(H) = 1 "
                   "and quotient duality")
-        report.skipped["eq2_subgroup"] = reason
-        report.skipped["eq2_quotient"] = reason
+        for key in ("eq2_subgroup", "eq2_quotient"):
+            report.skipped[key] = reason
+            report.checks[key] = f"skipped: {reason}"
+
+    pk = (1, 0) if G.order == 1 else prime_power(G.order)  # (1, 0): only mu(1, 1) = 1
+    if pk is None:
+        report.checks["hall"] = "skipped: order is not a prime power"
         return report
-
-    report.eq2_subgroup = sum(dd[h] * dd[h] * mu_top[h] for h in range(m) if mu_top[h])
-    if report.eq2_subgroup != report.f2:
-        report.mismatches.append(f"eq2_subgroup = {report.eq2_subgroup} != F2 = {report.f2}")
-
-    mu_bot = mobius_from_bottom(lat)
-    pk = prime_power(G.order)
-    if G.order == 1 or pk is not None:
+    top = verify_hall(G, lattice=lat)
+    report.check("hall", top.passed,
+                 f"mu(1,G) = {top.mu_lattice} disagrees with Hall's formula {top.mu_hall}")
+    if G.is_commutative:
         # every member H is an abelian p-group, so Hall's formula pins
         # mu(1, H): H is elementary iff it lies inside {x : x^p = 1}
-        p, n = pk or (1, 0)  # the trivial group: only mu(1, 1) = 1
+        p, n = pk
         log_p = {p ** k: k for k in range(n + 1)}
         roots = _pack(_pth_powers(G, p) == 0).to_bytes(lat._nbytes, "little")
         elementary = ~(lat.words & ~np.frombuffer(roots, dtype=np.uint64)).any(axis=1)
         keys = list(zip(map(log_p.__getitem__, lat.orders.tolist()), elementary.tolist()))
         hall = {(k, e): hall_mobius(k, p, e) for k, e in set(keys)}
-        ok = mu_bot == tuple(map(hall.__getitem__, keys))
-        report.hall_consistent = ok
-        if not ok:
-            report.mismatches.append("mu(1,H) disagrees with Hall's formula on some member")
-
-    ud = lat.up_degrees.tolist()
-    corr = sum(ud[h] * ud[h] * mu_bot[h] for h in range(m) if mu_bot[h])
-    if m <= quotient_cap:
-        report.quotient_method = "constructed"
-        total = 0
-        for h in range(m):
-            if not mu_bot[h]:
-                continue
-            Q = quotient(G, lat.subgroups[h])
-            qsize = len(enumerate_subgroups(Q))
-            if qsize != ud[h]:
-                report.mismatches.append(
-                    f"|L(G/H)| = {qsize} but {ud[h]} members contain H (member {h})"
-                )
-            total += qsize * qsize * mu_bot[h]
-        report.eq2_quotient = total
-        if total != corr:
-            report.mismatches.append(
-                f"quotient route {total} != correspondence route {corr}"
-            )
-    else:
-        report.quotient_method = "correspondence"
-        report.eq2_quotient = corr
-    if report.eq2_quotient != report.f2:
-        report.mismatches.append(f"eq2_quotient = {report.eq2_quotient} != F2 = {report.f2}")
+        report.hall_consistent = mu_bot == tuple(map(hall.__getitem__, keys))
+        report.check("hall", report.hall_consistent,
+                     "mu(1,H) disagrees with Hall's formula on some member")
     return report
 
 
@@ -814,18 +824,6 @@ class HallReport:
     @property
     def passed(self) -> bool:
         return self.mu_lattice == self.mu_hall
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "p": self.p,
-            "n": self.n,
-            "elementary": self.elementary,
-            "mu_lattice": str(self.mu_lattice),
-            "mu_hall": str(self.mu_hall),
-            "passed": self.passed,
-        }
 
     def summary(self) -> str:
         state = "pass" if self.passed else "FAIL"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from facnum import cli, lattice
+from facnum import cli, explore, lattice
 from facnum.cli import GroupSpec, main
 from facnum.errors import ParseError
 from facnum.groups import dihedral8, elementary_abelian_group, permute_elements
@@ -176,6 +176,33 @@ class TestF2Command:
         code, out, _ = run(capsys, "f2", f"table:{path}")
         assert code == 0 and "F2 = 41" in out
 
+    def test_verify_hall_failure_is_reported(self, capsys, monkeypatch):
+        # Hall's formula off by one on the members of order p fails only the
+        # per-member check; the hall line, the JSON and the exit code must
+        # all say so
+        exact = lattice.hall_mobius
+        monkeypatch.setattr(lattice, "hall_mobius", lambda n, p, e: exact(n, p, e) + (n == 1))
+        code, out, _ = run(capsys, "f2", "abelian:p=2,type=1,2", "--verify")
+        assert code == 1
+        assert "verify eq1: pass" in out and "verify hall: FAIL" in out
+        code, out, _ = run(capsys, "f2", "abelian:p=2,type=1,2", "--verify", "--format", "json")
+        checks = json.loads(out)["verify"]["checks"]
+        assert code == 1
+        assert checks == {"eq1": "pass", "eq2_subgroup": "pass", "eq2_quotient": "pass",
+                          "hall": "FAIL"}
+
+    def test_verify_hall_failure_exits_1_under_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, lattice
+            exact = lattice.hall_mobius
+            lattice.hall_mobius = lambda n, p, e: exact(n, p, e) + (n == 1)
+            sys.exit(cli.main(["f2", "abelian:p=2,type=1,2", "--verify"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "verify hall: FAIL" in proc.stdout
+
     def test_verify_non_prime_power_skips_hall(self, capsys, tmp_path):
         text = "6\n" + "\n".join(
             " ".join(str((i + j) % 6) for j in range(6)) for i in range(6)
@@ -242,7 +269,7 @@ class TestF2Command:
         # the endpoint checks of SubgroupLattice must survive python -O
         script = textwrap.dedent("""
             import sys
-            from facnum import cli, lattice
+            from facnum import cli, explore, lattice
             init = lattice.SubgroupLattice.__init__
             def without_full(self, group, found, edges):
                 k = found.index((1 << group.order) - 1)
@@ -278,7 +305,7 @@ class TestSdCommand:
         # the check must not be an assert, which python -O strips.
         script = textwrap.dedent("""
             import sys
-            from facnum import cli, lattice
+            from facnum import cli, explore, lattice
             built = lattice.SubgroupLattice.down_lists.fget
             def corrupted(lat):
                 down = list(built(lat))
@@ -298,7 +325,7 @@ class TestSdCommand:
         script = textwrap.dedent("""
             import sys
             import numpy as np
-            from facnum import cli, lattice
+            from facnum import cli, explore, lattice
             built = lattice.SubgroupLattice.up_lists.fget
             def corrupted(lat):
                 up = list(built(lat))
@@ -316,7 +343,7 @@ class TestSdCommand:
         # fail the run, not read index -1 (the full group's order)
         script = textwrap.dedent("""
             import sys
-            from facnum import cli, lattice
+            from facnum import cli, explore, lattice
             built = lattice.SubgroupLattice.up_lists.fget
             def corrupted(lat):
                 up = list(built(lat))
@@ -382,7 +409,7 @@ class TestExploreCommand:
                            "--max-order", "4")
         assert code == 3 and "exceeds the safety cap 4" in err
 
-    @pytest.mark.parametrize("what", ["theorem5", "openproblem"])
+    @pytest.mark.parametrize("what", ["theorem5", "conjecture6", "openproblem"])
     def test_closed_form_mismatch_exits_1_under_optimize(self, what):
         # a brute force that disagrees with the closed forms must fail the
         # run even under python -O, which strips asserts
@@ -396,6 +423,19 @@ class TestExploreCommand:
         proc = run_optimized(script)
         assert proc.returncode == 1, proc.stderr
         assert "verification failed" in proc.stderr and "closed form" in proc.stderr
+
+    def test_theorem5_wrong_modular_closed_form_fails(self, capsys, monkeypatch):
+        # every catalog row with a closed form is checked, not only the
+        # elementary one
+        monkeypatch.setattr(explore, "f2_modular_p3", lambda p: 50)
+        code, _, err = run(capsys, "explore", "theorem5", "--p", "3", "--n", "3")
+        assert code == 1
+        assert "closed form 50 disagrees with brute force 49 for M(27)" in err
+
+    def test_theorem5_max_subgroups_caps_enumeration(self, capsys):
+        code, _, err = run(capsys, "explore", "theorem5", "--p", "2", "--n", "3",
+                           "--max-subgroups", "3")
+        assert code == 3 and "subgroup count exceeded the cap 3" in err
 
     def test_openproblem_both_verdicts(self, capsys):
         code, out, _ = run(capsys, "explore", "openproblem", "--p", "2", "--n", "4",
@@ -437,6 +477,10 @@ class TestOutputContracts:
         bad_input, _, _ = run(capsys, "formula", "Ep3", "--p", "2")
         resource, _, _ = run(capsys, "f2", "named:D8", "--max-subgroups", "2")
         assert (ok, bad_input, resource) == (0, 2, 3)
+
+    def test_formula_takes_no_caps_or_threads(self, capsys):
+        code, _, err = run(capsys, "formula", "cyclic", "--n", "3", "--threads", "2")
+        assert code == 2 and "unrecognized arguments: --threads 2" in err
 
     def test_argparse_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "formula", "nosuchfamily")

@@ -115,7 +115,7 @@ class TestOpenProblem:
         assert not report.verdicts["nondecreasing_lex"]["monotone"]
         assert report.verdicts["nondecreasing_lex"]["violated_at"] == [[1, 3], [2, 2]]
         assert report.verdicts["nonincreasing_lex"]["monotone"]
-        assert report.monotone_somewhere
+        assert report.passed
 
     def test_p3_n3(self):
         report = open_problem_table(3, 3)

@@ -728,9 +728,10 @@ class TestVerifyInversion:
         assert report.passed and report.f2 == 17
         assert report.eq2_quotient is None
 
-    def test_correspondence_path(self):
+    def test_correspondence_path(self, monkeypatch):
+        monkeypatch.setattr(lattice, "QUOTIENT_CAP", 1)
         G = elementary_abelian_group(2, 3)
-        report = verify_inversion(G, quotient_cap=1)
+        report = verify_inversion(G)
         assert report.passed
         assert report.quotient_method == "correspondence"
         assert report.eq2_quotient == 129
