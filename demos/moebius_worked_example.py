@@ -45,7 +45,7 @@ def main():
         print(f"  {rep.summary()}")
 
     print("\nmu(H, G) up the lattice of Z2xZ4 (trivial subgroup first):")
-    print(" ", list(mobius_to_top(lat).values))
+    print(" ", list(mobius_to_top(lat)))
 
 
 if __name__ == "__main__":

@@ -69,10 +69,8 @@ from .groups import (
 )
 from .intpoly import IntPolynomial
 from .lattice import (
-    MobiusTable,
     Subgroup,
     SubgroupLattice,
-    closure,
     enumerate_subgroups,
     f2_bruteforce,
     f2_of_member,

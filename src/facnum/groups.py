@@ -395,7 +395,8 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     return G
 
 
-# family -> (required parameters, constructor taking them and max_order)
+# family -> (declared parameters, all required, and a constructor taking them
+# and max_order)
 _NAMED_FAMILIES = {
     "Cyclic": (("p", "n"), cyclic_group),
     "Elem": (("p", "n"), elementary_abelian_group),
@@ -408,12 +409,17 @@ _NAMED_FAMILIES = {
 
 def build_named(name: str, p: int | None = None, n: int | None = None, *,
                 max_order: int | None = None) -> FiniteGroup:
-    """Dispatch on a family name: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p)."""
+    """Dispatch on a family name: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p).
+    A family takes exactly its declared parameters."""
     if name not in _NAMED_FAMILIES:
         raise DomainError(f"unknown named family {name!r} "
-                          "(expected Cyclic, Elem, D8, Q8, M or E)")
+                          f"(expected {', '.join(_NAMED_FAMILIES)})")
     required, build = _NAMED_FAMILIES[name]
-    args = [{"p": p, "n": n}[k] for k in required]
+    given = {"p": p, "n": n}
+    for key, value in given.items():
+        if value is not None and key not in required:
+            raise DomainError(f"{name} takes no parameter {key}")
+    args = [given[k] for k in required]
     if None in args:
         both = "both " if len(required) > 1 else ""
         raise DomainError(f"{name} requires {both}{' and '.join(required)}")
@@ -489,17 +495,17 @@ def parse_cayley_table(text: str, *, label: str = "table",
     return FiniteGroup(table, label, max_order=max_order)
 
 
-def load_cayley_table(source, *, label: str | None = None,
-                      max_order: int | None = None) -> FiniteGroup:
-    """Load a Cayley table from a path or a readable text/byte stream."""
+def load_cayley_table(source, *, max_order: int | None = None) -> FiniteGroup:
+    """Load a Cayley table from a path, labelled by the file's stem, or from
+    a readable text/byte stream, labelled "table"."""
     if hasattr(source, "read"):
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
-        name = label or "table"
+        name = "table"
     else:
         path = Path(source)
         text = path.read_text(encoding="utf-8")
-        name = label or path.stem
+        name = path.stem
     return parse_cayley_table(text, label=name, max_order=max_order)
 
 
@@ -519,7 +525,7 @@ def _subgroup_bits(G: FiniteGroup, members) -> int:
     return bits
 
 
-def quotient(G: FiniteGroup, N, *, label: str | None = None) -> FiniteGroup:
+def quotient(G: FiniteGroup, N) -> FiniteGroup:
     """Quotient of G by a normal subgroup N (a Subgroup, bitmask int, or an
     iterable of element indices).  Cosets are numbered in order of first
     appearance, so the identity coset is index 0."""
@@ -549,9 +555,8 @@ def quotient(G: FiniteGroup, N, *, label: str | None = None) -> FiniteGroup:
             reps.append(x)
     reps_arr = np.array(reps, dtype=np.int64)
     qtable = coset_id[t[np.ix_(reps_arr, reps_arr)]].astype(np.int32)
-    qlabel = label or f"{G.label}/(order-{k} subgroup)"
     # no larger than G, which was admitted under the cap
-    Q = FiniteGroup(qtable, qlabel, max_order=G.order)
+    Q = FiniteGroup(qtable, f"{G.label}/(order-{k} subgroup)", max_order=G.order)
     if Q.order * k != G.order:
         raise VerificationError(
             f"|G/N| * |N| = {Q.order} * {k}, but |G| = {G.order}"

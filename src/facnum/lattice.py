@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable
 
 import numpy as np
 
@@ -66,20 +65,6 @@ class Subgroup:
         return out
 
 
-def closure(G: FiniteGroup, seed: Iterable[int], base: Subgroup = Subgroup(1, 1)) -> Subgroup:
-    """Smallest subgroup containing the seed elements and the subgroup base
-    (trivial by default), built coset by coset of base:
-    O(|J| + |J:base|*|base|) table lookups."""
-    n = G.order
-    seed = [int(s) for s in seed]
-    if any(s < 0 or s >= n for s in seed):
-        raise DomainError("seed indices must lie in [0, order)")
-    h_idx = base.indices()
-    gens = seed if G.is_commutative else h_idx[1:] + seed
-    bits = _pack(_right_cosets(G, np.array(h_idx), gens) >= 0)
-    return Subgroup(bits, bits.bit_count())
-
-
 class SubgroupLattice:
     """The complete subgroup lattice of a FiniteGroup.
 
@@ -121,7 +106,7 @@ class SubgroupLattice:
         self._down_flat: np.ndarray | None = None
         self._up_degrees: np.ndarray | None = None
         self._down_degrees: np.ndarray | None = None
-        self._mobius_top: MobiusTable | None = None
+        self._mobius_top: tuple[int, ...] | None = None
         self._up_sets: list[int] | None = None
 
     def __len__(self) -> int:
@@ -212,7 +197,7 @@ class SubgroupLattice:
         return self._up_sets
 
     @property
-    def mobius_top(self) -> MobiusTable:
+    def mobius_top(self) -> tuple[int, ...]:
         """mu(H, G) for every member, computed once per lattice."""
         if self._mobius_top is None:
             self._mobius_top = mobius_to_top(self)
@@ -467,30 +452,6 @@ def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> 
 # Moebius functions of the lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MobiusTable:
-    """mu(H, G) for every member H, index-aligned with the lattice."""
-
-    lattice: SubgroupLattice
-    values: tuple[int, ...]
-
-    def __getitem__(self, h: int) -> int:
-        return self.values[h]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def check_recursion(self) -> bool:
-        """sum over K >= H of mu(K, G) is 1 at H = G and 0 below it."""
-        up = self.lattice.up_lists
-        top = self.lattice.index_of_full
-        for h in range(len(self.values)):
-            total = sum(map(self.values.__getitem__, up[h].tolist()))
-            if total != (1 if h == top else 0):
-                return False
-        return True
-
-
 def _mobius_recursion(flat: np.ndarray, degrees: np.ndarray,
                       classes: list[tuple[int, int]]) -> tuple[int, ...]:
     """The defining Moebius recursion, summed one order class at a time.
@@ -511,11 +472,11 @@ def _mobius_recursion(flat: np.ndarray, degrees: np.ndarray,
     return tuple(mu.tolist())
 
 
-def mobius_to_top(lat: SubgroupLattice) -> MobiusTable:
-    """mu(H, G) via the defining recursion mu(G,G) = 1,
+def mobius_to_top(lat: SubgroupLattice) -> tuple[int, ...]:
+    """mu(H, G) for every member H via the defining recursion mu(G,G) = 1,
     mu(H,G) = -sum_{H < K <= G} mu(K,G)."""
     degrees = lat.up_degrees  # builds containment on first use
-    return MobiusTable(lat, _mobius_recursion(lat._up_flat, degrees, lat._classes[::-1]))
+    return _mobius_recursion(lat._up_flat, degrees, lat._classes[::-1])
 
 
 def mobius_from_bottom(lat: SubgroupLattice) -> tuple[int, ...]:
@@ -768,7 +729,8 @@ def verify_inversion(G: FiniteGroup, *, lattice: SubgroupLattice | None = None,
             for h in range(m):
                 if not mu_bot[h]:
                     continue
-                qsize = len(enumerate_subgroups(quotient(G, lat.subgroups[h])))
+                # G/1 is G, whose lattice is already here
+                qsize = m if h == 0 else len(enumerate_subgroups(quotient(G, lat.subgroups[h])))
                 report.check("eq2_quotient", qsize == ud[h],
                              f"|L(G/H)| = {qsize} but {ud[h]} members contain H (member {h})")
                 total += qsize * qsize * mu_bot[h]
@@ -852,7 +814,7 @@ def verify_hall(G: FiniteGroup, *, lattice: SubgroupLattice | None = None) -> Ha
 # JSON export
 # ---------------------------------------------------------------------------
 
-def lattice_document(lat: SubgroupLattice, *, threads: int | None = None) -> dict:
+def lattice_document(lat: SubgroupLattice) -> dict:
     """Lattice as a JSON-ready document.  Bitsets are hex strings; every
     count that can get big (Moebius values, F2, sd) is a decimal string so
     nothing is ever squeezed through a float."""
@@ -863,11 +825,11 @@ def lattice_document(lat: SubgroupLattice, *, threads: int | None = None) -> dic
         "subgroups": [
             {"bits": hex(s.bits), "order": s.order} for s in lat.subgroups
         ],
-        "mobius_to_top": [str(v) for v in lat.mobius_top.values],
-        "f2": str(f2_bruteforce(lat, threads=threads)),
+        "mobius_to_top": [str(v) for v in lat.mobius_top],
+        "f2": str(f2_bruteforce(lat)),
         "sd": str(sd(lat)),
     }
 
 
-def lattice_json(lat: SubgroupLattice, **kwargs) -> str:
-    return json.dumps(lattice_document(lat, **kwargs), indent=2)
+def lattice_json(lat: SubgroupLattice) -> str:
+    return json.dumps(lattice_document(lat), indent=2)

@@ -87,6 +87,14 @@ def mobius_bottom_oracle(lat, mu=None) -> list[int]:
     return [int(mu[0, h]) for h in range(len(lat))]
 
 
+def check_recursion(lat, mu_top) -> bool:
+    """mu_top (mu(K, G) for every member K) satisfies the defining
+    recursion: the sum over K >= H is 1 at H = G and 0 below it."""
+    top = lat.index_of_full
+    return all(sum(mu_top[k] for k in lat.up_lists[h].tolist()) == int(h == top)
+               for h in range(len(lat)))
+
+
 def permutation_group(generators, label: str = "perm") -> FiniteGroup:
     """Cayley table of the permutation group generated by the given tuples
     (images of 0..d-1), identity at index 0, elements in discovery order."""

@@ -92,25 +92,32 @@ class TestFormulaCommand:
         assert code == 0 and "107" in out
 
     @pytest.mark.parametrize("family,partial,message,rest,value", [
-        ("elementary", ["--p", "2"], "elementary requires --n", ["--n", "3"], 129),
-        ("rank2", ["--p", "3", "--a1", "1"], "rank2 requires --a1 and --a2", ["--a2", "2"], 49),
+        ("elementary", ["--p", "2"], "the following arguments are required: --n",
+         ["--n", "3"], 129),
+        ("rank2", ["--p", "3", "--a1", "1"], "the following arguments are required: --a2",
+         ["--a2", "2"], 49),
         ("corollary4", ["--n", "3"], "corollary4 requires --p (or --poly)", ["--p", "2"], 43),
         # cyclic takes neither --p nor --poly
-        ("cyclic", ["--p", "3", "--poly"], "cyclic requires --n", ["--n", "4"], 9),
+        ("cyclic", [], "the following arguments are required: --n", ["--n", "4"], 9),
         ("Mp3", [], "Mp3 requires --p (or --poly)", ["--p", "5"], 107),
-        ("Ep3", ["--n", "3"], "Ep3 requires --p (or --poly)", ["--p", "3"], 121),
+        ("Ep3", [], "Ep3 requires --p (or --poly)", ["--p", "3"], 121),
     ])
     def test_each_family(self, capsys, family, partial, message, rest, value):
-        assert run(capsys, "formula", family, *partial) == (2, "", f"facnum: {message}\n")
+        # a missing declared parameter is an argparse error, a missing --p
+        # the command's own; either way the last stderr line says which
+        code, out, err = run(capsys, "formula", family, *partial)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] in (f"facnum: {message}",
+                                        f"facnum formula {family}: error: {message}")
         assert run(capsys, "formula", family, *partial, *rest) == (0, f"F2 = {value}\n", "")
 
     @pytest.mark.parametrize("argv,params,value,poly", [
-        (["rank2", "--p", "3", "--a2", "2", "--a1", "1"], [("a1", 1), ("a2", 2), ("p", 3)],
-         "49", "3p^2 + 5p + 7"),
-        (["cyclic", "--p", "3", "--n", "4"], [("n", 4)], "9", None),
+        (["rank2", "--p", "3", "--a2", "2", "--a1", "1", "--poly"],
+         [("a1", 1), ("a2", 2), ("p", 3)], "49", "3p^2 + 5p + 7"),
+        (["cyclic", "--n", "4"], [("n", 4)], "9", None),
     ])
     def test_json_params_in_table_order(self, capsys, argv, params, value, poly):
-        code, out, _ = run(capsys, "formula", *argv, "--poly", "--format", "json")
+        code, out, _ = run(capsys, "formula", *argv, "--format", "json")
         doc = json.loads(out)
         assert code == 0 and list(doc["params"].items()) == params
         assert (doc["value"], doc["poly"]) == (value, poly)
@@ -259,8 +266,9 @@ class TestF2Command:
 
     def test_max_order_reaches_quotient_route(self, capsys, monkeypatch):
         # the quotients built by --verify are no larger than the group, which
-        # --max-order admitted over the smaller FACNUM_MAX_ORDER
-        monkeypatch.setenv("FACNUM_MAX_ORDER", "16")
+        # --max-order admitted over the smaller FACNUM_MAX_ORDER; the largest
+        # one built, of order 16, is above the env cap
+        monkeypatch.setenv("FACNUM_MAX_ORDER", "8")
         code, out, err = run(capsys, "f2", "named:Elem:p=2:n=5", "--verify", "--max-order", "32")
         assert code == 0, err
         assert "verify eq2_quotient: pass" in out
@@ -481,6 +489,28 @@ class TestOutputContracts:
     def test_formula_takes_no_caps_or_threads(self, capsys):
         code, _, err = run(capsys, "formula", "cyclic", "--n", "3", "--threads", "2")
         assert code == 2 and "unrecognized arguments: --threads 2" in err
+
+    @pytest.mark.parametrize("argv,refused", [
+        (["formula", "cyclic", "--n", "3", "--p", "5"], "--p 5"),
+        (["formula", "cyclic", "--n", "3", "--poly"], "--poly"),
+        (["formula", "elementary", "--n", "3", "--p", "2", "--a1", "5"], "--a1 5"),
+        (["formula", "Mp3", "--p", "3", "--n", "4"], "--n 4"),
+        (["explore", "theorem5", "--p", "2", "--n", "2", "--tables", "x.tbl"], "--tables x.tbl"),
+        (["explore", "openproblem", "--p", "2", "--n", "2", "--tables", "x.tbl"],
+         "--tables x.tbl"),
+    ])
+    def test_undeclared_flag_exits_2(self, capsys, argv, refused):
+        # each front end takes only what its family or sweep declares
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: unrecognized arguments: {refused}\n")
+
+    @pytest.mark.parametrize("spec,message", [
+        ("named:D8:p=3", "D8 takes no parameter p"),
+        ("named:M:p=3:n=9", "M takes no parameter n"),
+    ])
+    def test_undeclared_named_parameter_exits_2(self, capsys, spec, message):
+        assert run(capsys, "f2", spec) == (2, "", f"facnum: {message}\n")
 
     def test_argparse_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "formula", "nosuchfamily")

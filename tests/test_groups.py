@@ -134,7 +134,7 @@ class TestNamedFamilies:
         assert build_named("M", 3).order == 27
         with pytest.raises(DomainError):
             build_named("E")  # missing p
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"\(expected Cyclic, Elem, D8, Q8, M, E\)$"):
             build_named("Sporadic")
 
     @pytest.mark.parametrize("name,args,order,message", [
@@ -150,6 +150,17 @@ class TestNamedFamilies:
         for given in range(len(args)):  # each prefix of the parameters
             with pytest.raises(DomainError, match=f"^{message}$"):
                 build_named(name, *args[:given])
+
+    @pytest.mark.parametrize("name,p,n,refused", [
+        ("D8", 3, None, "p"),
+        ("Q8", None, 2, "n"),
+        ("M", 3, 9, "n"),
+        ("E", 3, 1, "n"),
+    ])
+    def test_build_named_refuses_undeclared(self, name, p, n, refused):
+        # a parameter the family does not declare is refused, not dropped
+        with pytest.raises(DomainError, match=f"^{name} takes no parameter {refused}$"):
+            build_named(name, p, n)
 
 
     @pytest.mark.parametrize("builder,attr,broken,relation", [
@@ -411,7 +422,7 @@ class TestCayleyTableIO:
     def test_round_trip_byte_for_byte(self):
         G = dihedral8()
         text = G.to_table_text()
-        G2 = load_cayley_table(io.StringIO(text), label="D8")
+        G2 = load_cayley_table(io.StringIO(text))
         assert G2.to_table_text() == text
         assert G2.table.tolist() == G.table.tolist()
 
