@@ -9,6 +9,7 @@ JSON output keeps every potentially-big count as a decimal string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -288,9 +289,13 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    # looked up at each call, so that rebinding a sweep's module name (as
+    # perfbench/tracer.py does) reaches the command
+    sweep = {"theorem5": check_theorem5, "conjecture6": check_conjecture6,
+             "openproblem": open_problem_table}[args.what]
     tables = (args.tables,) if "tables" in args else ()  # conjecture6 only
-    report = args.sweep(args.p, args.n, *tables, threads=args.threads,
-                        max_order=args.max_order, max_subgroups=args.max_subgroups)
+    report = sweep(args.p, args.n, *tables, threads=args.threads,
+                   max_order=args.max_order, max_subgroups=args.max_subgroups)
     doc = report.to_dict()
     csv_rows = [["key", "value"]] + [[k, json.dumps(v)] for k, v in doc.items()]
     _emit(doc, args.format, report.render(), csv_rows)
@@ -301,7 +306,10 @@ def _cmd_explore(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The facnum parser, built once per process.  Each leaf parser (a
+    formula family, f2, sd or an explore sweep) is its namespace's `leaf`."""
     parser = argparse.ArgumentParser(
         prog="facnum",
         description="Exact factorization numbers of finite groups: closed "
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_family.add_argument("--poly", action="store_true",
                                   help="also print the symbolic polynomial in p")
         _add_format(p_family)
-        p_family.set_defaults(func=_cmd_formula)
+        p_family.set_defaults(func=_cmd_formula, leaf=p_family)
 
     p_f2 = sub.add_parser("f2", help="brute-force F2 over the subgroup lattice")
     p_f2.add_argument("spec", help="abelian:p=2,type=1,2 | named:Q8 | table:path")
@@ -330,19 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_f2.add_argument("--verify", action="store_true",
                       help="also verify the inversion identities and Hall's formula")
     _add_common(p_f2)
-    p_f2.set_defaults(func=_cmd_f2)
+    p_f2.set_defaults(func=_cmd_f2, leaf=p_f2)
 
     p_sd = sub.add_parser("sd", help="subgroup commutativity degree (exact)")
     p_sd.add_argument("spec")
     _add_common(p_sd)
-    p_sd.set_defaults(func=_cmd_sd)
+    p_sd.set_defaults(func=_cmd_sd, leaf=p_sd)
 
     p_explore = sub.add_parser("explore", help="catalog sweeps and reports")
     sweeps = p_explore.add_subparsers(dest="what", required=True)
-    # looked up here, not in a module-level table, so that rebinding a
-    # sweep's module name (as perfbench/tracer.py does) reaches the command
-    for what, sweep in (("theorem5", check_theorem5), ("conjecture6", check_conjecture6),
-                        ("openproblem", open_problem_table)):
+    for what in ("theorem5", "conjecture6", "openproblem"):
         p_sweep = sweeps.add_parser(what)
         p_sweep.add_argument("--p", type=int, required=True)
         p_sweep.add_argument("--n", type=int, required=True)
@@ -350,14 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
             p_sweep.add_argument("--tables", nargs="*", default=[],
                                  help="extra Cayley-table files of order p^n")
         _add_common(p_sweep)
-        p_sweep.set_defaults(func=_cmd_explore, sweep=sweep)
+        p_sweep.set_defaults(func=_cmd_explore, leaf=p_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # reported by the parser of the family or sweep they follow
+            args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # --help exits 0, argparse errors exit 2
         return int(exc.code or 0)
     try:

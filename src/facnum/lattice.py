@@ -4,9 +4,15 @@ Subgroups are bitsets over element indices (Python ints), mirrored into
 a numpy uint64 word matrix for pair counting, which is blocked by
 subgroup order: a product set satisfies |HK| = |H||K| / |H∩K| for any
 two subgroups, so HK = G is equivalent to |H|*|K| == |G|*|H∩K| and only
-the intersection popcount is ever materialized.  Containment and joins
-are not scanned for: they follow from the extension edges the enumeration
-records.
+the intersection popcount is ever materialized.
+
+Enumeration is cyclic extension: a member is extended by normal index-p
+steps, one order class and prime at a time, which reaches every subgroup
+of a solvable group; a group it does not reach is not solvable, and the
+generic extension <H, g> enumerates it instead.  Containment is not
+scanned for pair by pair: in a group of prime-power order it follows from
+the extension edges, and otherwise from the pair kernel, run once over the
+order-class pairs whose orders divide.  Joins follow from containment.
 
 All aggregate arithmetic (Moebius values, inversion sums) runs on plain
 Python ints; the numpy side only ever produces bounded popcounts.
@@ -71,24 +77,34 @@ class SubgroupLattice:
     Members are sorted canonically by (order, bitset value) ascending, so
     index 0 is the trivial subgroup and the last index is the full group.
     Pairwise intersections of members are members; inclusion is a two-int
-    bit test.  Containment lists are derived from the extension edges
-    H -> J recorded by enumerate_subgroups, which chain every pair H < K.
+    bit test.  Containment lists are derived from edges H -> J that chain
+    every pair H < K: the extension edges enumerate_subgroups records for a
+    group of prime-power order, or else every pair H < K, taken from the
+    pair kernel on first use (_inclusions).
     """
 
     def __init__(self, group: FiniteGroup, found: list[int],
-                 edges: tuple[np.ndarray, np.ndarray]):
+                 edges: tuple[np.ndarray, np.ndarray] | None):
         """found: member bitsets in discovery order; edges: (source, target)
-        arrays of discovery numbers, one entry per recorded extension."""
+        arrays of discovery numbers, one entry per recorded extension, or
+        None to take containment from the pair kernel."""
         self.group = group
         nbytes = ((group.order + 63) // 64) * 8
         self._nbytes = nbytes
-        order = sorted(range(len(found)), key=lambda i: (found[i].bit_count(), found[i]))
-        self.subgroups = [Subgroup(found[i], found[i].bit_count()) for i in order]
-        self._bits = [s.bits for s in self.subgroups]
-        rank = np.empty(len(found), dtype=np.int64)
-        rank[order] = np.arange(len(found), dtype=np.int64)
-        self._edges = (rank[edges[0]], rank[edges[1]])
-        self.orders = np.array([s.order for s in self.subgroups], dtype=np.int64)
+        words = (np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in found),
+                               dtype=np.uint8).reshape(len(found), nbytes).view(np.uint64))
+        orders = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        keys = np.empty((words.shape[1] + 1, len(found)), dtype=np.uint64)
+        keys[:-1], keys[-1] = words.T, orders  # by order, then by bitset value
+        order = np.lexsort(keys)
+        self._words, self.orders = words[order], orders[order]
+        self._bits = [found[i] for i in order.tolist()]
+        self.subgroups = [Subgroup(b, o) for b, o in zip(self._bits, self.orders.tolist())]
+        self._edges = None
+        if edges is not None:
+            rank = np.empty(len(found), dtype=np.int64)
+            rank[order] = np.arange(len(found), dtype=np.int64)
+            self._edges = (rank[edges[0]], rank[edges[1]])
         ends = (np.flatnonzero(np.diff(self.orders)) + 1).tolist() + [len(found)]
         self._classes = list(zip([0] + ends[:-1], ends))  # (start, end) per order
         self._index = {s.bits: i for i, s in enumerate(self.subgroups)}
@@ -99,7 +115,6 @@ class SubgroupLattice:
         if self.subgroups[-1].order != group.order:
             raise VerificationError(f"the largest lattice member has order "
                                     f"{self.subgroups[-1].order}, not the group order {group.order}")
-        self._words: np.ndarray | None = None
         self._up: list[np.ndarray] | None = None
         self._down: list[np.ndarray] | None = None
         self._up_flat: np.ndarray | None = None
@@ -136,25 +151,23 @@ class SubgroupLattice:
     @property
     def words(self) -> np.ndarray:
         """(members, words) uint64 matrix of the bitsets (little-endian)."""
-        if self._words is None:
-            raw = b"".join(b.to_bytes(self._nbytes, "little") for b in self._bits)
-            self._words = (
-                np.frombuffer(raw, dtype=np.uint8)
-                .reshape(len(self._bits), self._nbytes)
-                .view(np.uint64)
-                .copy()
-            )
         return self._words
 
     # -- containment structure ------------------------------------------------
 
     def _ensure_containment(self) -> None:
-        """Up-lists from the extension edges (_up_lists), each a view into
-        one flat int64 array; the down-lists are their transpose
-        (_transpose), each member first."""
+        """Up-lists from the edges (_up_lists), each a view into one flat
+        int64 array; the down-lists are their transpose (_transpose), each
+        member first."""
         if self._up is not None:
             return
-        up, self._up_degrees = _up_lists(len(self), self._edges, self._classes)
+        src, dst = self._edges or _inclusions(self.words, self.orders, self._classes)
+        self._edges = None  # only the up-lists need the edges, sorted by source
+        by_src = np.argsort(src, kind="stable")
+        src, dst = src[by_src], dst[by_src]
+        del by_src
+        up, self._up_degrees = _up_lists(len(self), src, dst, self._classes)
+        del src, dst
         self._up_flat, self._up = up, _split(up, self._up_degrees)
         down, self._down_degrees = _transpose(up, self._up_degrees)
         self._down_flat, self._down = down, _split(down, self._down_degrees)
@@ -210,20 +223,19 @@ class SubgroupLattice:
         return np.flatnonzero(self.up_degrees[:-1] == 2).tolist()
 
 
-def _up_lists(m: int, edges: tuple[np.ndarray, np.ndarray],
+def _up_lists(m: int, src: np.ndarray, dst: np.ndarray,
               classes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """(flat, degrees): the up-list of every member, member by member in one
-    flat int64 array, built one order class at a time from the top class
-    down.  Members of one order are pairwise incomparable, so every edge
-    target of a class lies in a class already done, and up[h] is h followed
-    by the union of its edge targets' up-lists.  Each chunk of a class
-    gathers its targets' up-lists with one ragged index, marks them in a
-    (rows, m - lo) bool block (lo: the end of the class), reads the marks
-    back in order by skipping zero 8-byte words, and puts each member first.
-    A chunk's block and its gathered entries stay within _CONTAIN_CELLS
-    cells (a chunk has at least one row)."""
-    by_src = np.argsort(edges[0], kind="stable")
-    src, dst = edges[0][by_src], edges[1][by_src]
+    flat int64 array, from the edges src -> dst sorted by source.  The lists
+    are built one order class at a time from the top class down.  Members
+    of one order are pairwise incomparable, so every edge target of a class
+    lies in a class already done, and up[h] is h followed by the union of
+    its edge targets' up-lists.  Each chunk of a class gathers its targets'
+    up-lists with one ragged index, marks them in a (rows, m - lo) bool
+    block (lo: the end of the class), reads the marks back in order by
+    skipping zero 8-byte words, and puts each member first.  A chunk's
+    block and its gathered entries stay within _CONTAIN_CELLS cells (a
+    chunk has at least one row)."""
     first_edge = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=m), out=first_edge[1:])
     degrees = np.zeros(m, dtype=np.int64)
@@ -276,6 +288,22 @@ def _up_lists(m: int, edges: tuple[np.ndarray, np.ndarray],
     return np.concatenate(pieces[::-1]), degrees
 
 
+def _inclusions(words: np.ndarray, orders: np.ndarray,
+                classes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of every pair H < K, from the pair kernel: H <= K
+    iff |H n K| = |H|, tested over the order-class pairs with |H| a proper
+    divisor of |K|."""
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for i, (a, b) in enumerate(classes):
+        for c, d in classes[i + 1:]:
+            if orders[c] % orders[a] == 0:
+                for s, hit in _pair_hits(words, np.arange(a, b), np.arange(c, d), orders[a]):
+                    row, col = np.nonzero(hit)
+                    src.append(row + a + s)
+                    dst.append(col + c)
+    return np.concatenate(src), np.concatenate(dst)
+
+
 def _transpose(up: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(flat, degrees) of the down-lists from the flat up-lists.  One sort of
     the keys sup*m + sub puts the subgroups of each member in an ascending
@@ -309,49 +337,168 @@ def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
     return y
 
 
-def _index_p_level(G: FiniteGroup, p: int, powers: np.ndarray, level: list[int]):
-    """Joins of one order level of a p-group, as (position in level, join
-    bitset), sources in level order and g ascending within a source.  For
-    every H in the level and every g outside H with g^p in H that
-    normalizes H, J = H u Hg u ... u Hg^(p-1); J \\ H consists of such g,
-    so J is taken once, from its least element.  Sources and (H, g) pairs
-    are handled in chunks of about _LEVEL_CELLS cells, and element axes
-    lead, so the coset minimum reduces whole rows."""
+def _index_p_level(G: FiniteGroup, p: int, powers: np.ndarray, raw: np.ndarray,
+                   series: np.ndarray, indices: np.ndarray):
+    """Index-p joins of one order class, whose bitsets are the rows of raw
+    (whole 8-byte words), as (positions in raw, g, join rows), sources in
+    row order and g ascending within a source.  For every H and every g
+    outside H with g^p in H that normalizes H, J = H u Hg u ... u Hg^(p-1);
+    J \\ H consists of such g, so J is taken once, from its least element.
+
+    The rows of series and indices are a composition series of each H:
+    H_i = H_(i-1)<series[:, i]> has the prime index indices[:, i] over
+    H_(i-1).  In a non-abelian G, g normalizes H when it conjugates each
+    series[:, i] into H.  In an abelian G, the least element of every coset
+    Hy is tabulated one step at a time: the least of H_i y is the least,
+    over j < indices[:, i], of the least of H_(i-1) h_i^j y.  Sources and
+    (H, g) pairs go in chunks of about _LEVEL_CELLS cells, and the joins
+    are yielded in batches of about _LEVEL_CELLS bytes."""
     n = G.order
-    nbytes = (n + 7) // 8
     flat = G.table.ravel()
-    q = level[0].bit_count()
+    q = int(np.bitwise_count(raw[0]).sum())
     sources = max(1, _LEVEL_CELLS // n)
-    pairs = max(1, _LEVEL_CELLS // max((p - 1) * q, nbytes))
-    for base in range(0, len(level), sources):
-        chunk = level[base:base + sources]
-        raw = np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in chunk),
-                            dtype=np.uint8).reshape(len(chunk), nbytes)
-        in_h = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+    pairs = max(1, _LEVEL_CELLS // max(series.shape[1], p - 1))
+    rows = max(1, _LEVEL_CELLS // max((p - 1) * q, raw.shape[1]))
+    held, size = [], 0  # joins not yet yielded
+    for base in range(0, len(raw), sources):
+        chunk = raw[base:base + sources]
+        gens, steps = series[base:base + sources], indices[base:base + sources]
+        in_h = np.unpackbits(chunk, axis=1, count=n, bitorder="little").view(bool)
         # row offsets of each source's elements in the flat table, (q, sources)
         h_rows = np.ascontiguousarray(np.nonzero(in_h)[1].reshape(len(chunk), q).T) * n
+        if G.is_commutative:
+            least = np.tile(np.arange(n), (len(chunk), 1))
+            for i in range(series.shape[1]):
+                below, y = least.copy(), np.arange(n)
+                for j in range(1, int(steps[:, i].max())):
+                    y = flat[gens[:, i, None] * n + y]  # h_i^j y
+                    np.minimum(least, np.take_along_axis(below, y, axis=1), out=least,
+                               where=j < steps[:, i, None])
         pair_rows, pair_g = np.nonzero(in_h[:, powers] & ~in_h)
         for s in range(0, len(pair_rows), pairs):
             r, g = pair_rows[s:s + pairs], pair_g[s:s + pairs]
-            if not G.is_commutative:  # g^-1 (Hg) inside H
-                hg = flat[np.take(h_rows, r, axis=1) + g]
-                normal = in_h[r, flat[G.inverses[g] * n + hg]].all(axis=0)
+            if G.is_commutative:  # g is the least of J \\ H = Hg u ... u Hg^(p-1)
+                x, low = g, least[r, g]
+                for _ in range(p - 2):
+                    x = flat[x * n + g]
+                    low = np.minimum(low, least[r, x])
+                r, g = r[low == g], g[low == g]
+            else:  # g^-1 h_i g in H for every h_i of the series
+                conj = flat[G.inverses[g, None] * n + flat[gens[r] * n + g[:, None]]]
+                normal = in_h[r[:, None], conj].all(axis=1)
                 r, g = r[normal], g[normal]
-            h = np.take(h_rows, r, axis=1)
-            x, cosets = g, []
-            for _ in range(p - 1):
-                cosets.append(flat[h + x])
-                x = flat[x * n + g]
-            outside = np.concatenate(cosets)
-            keep = outside.min(axis=0) == g
-            r, outside = r[keep], outside[:, keep]
-            joins = raw[r]  # the bytes of H, then the bits of J \\ H
-            np.bitwise_or.at(joins, (np.arange(len(r)), outside >> 3),
-                             (1 << (outside & 7)).astype(np.uint8))
-            packed = joins.tobytes()
-            yield from zip((r + base).tolist(),
-                           [int.from_bytes(packed[i:i + nbytes], "little")
-                            for i in range(0, len(packed), nbytes)])
+            for t in range(0, len(r), rows):
+                rt, gt = r[t:t + rows], g[t:t + rows]
+                h, x, cosets = np.take(h_rows, rt, axis=1), gt, []
+                for _ in range(p - 1):
+                    cosets.append(flat[h + x])  # H g^j
+                    x = flat[x * n + gt]
+                outside = np.concatenate(cosets)  # J \\ H, element axis first
+                if not G.is_commutative:  # g is the least of J \\ H
+                    keep = outside.min(axis=0) == gt
+                    rt, gt, outside = rt[keep], gt[keep], outside[:, keep]
+                mask = np.zeros((len(rt), 8 * raw.shape[1]), dtype=bool)
+                mask[np.arange(len(rt)), outside] = True
+                joins = chunk[rt] | np.packbits(mask, axis=1, bitorder="little")
+                held.append((rt + base, gt, joins))
+                size += joins.size
+                if size >= _LEVEL_CELLS:
+                    yield tuple(map(np.concatenate, zip(*held)))
+                    held, size = [], 0
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
+class _RowIndex:
+    """Numbers of distinct byte rows (a numpy void dtype), exactly.  The
+    rows lie in sorted runs, each at least twice as long as the next, like
+    the digits of a binary counter: a lookup searches every run, and an
+    addition merges runs of similar length, so each row is copied into a
+    merged run O(log rows) times."""
+
+    def __init__(self):
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The number of each of the sorted keys, -1 where absent."""
+        number = np.full(len(keys), -1, dtype=np.int64)
+        for run, ids in self.runs:
+            at = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+            hit = run[at] == keys
+            number[hit] = ids[at[hit]]
+        return number
+
+    def add(self, keys: np.ndarray, numbers: np.ndarray) -> None:
+        """Take the sorted keys, none present yet, with their numbers."""
+        while self.runs and len(self.runs[-1][0]) <= 2 * len(keys):
+            run, ids = self.runs.pop()
+            at = np.searchsorted(run, keys)
+            keys, numbers = np.insert(run, at, keys), np.insert(ids, at, numbers)
+        if len(keys):
+            self.runs.append((keys, numbers))
+
+
+def _cyclic_extension(G: FiniteGroup, cap: int):
+    """(members in discovery order, edges): the edges are (source, target)
+    arrays of discovery numbers, one entry per extension, when |G| is a
+    prime power, and None otherwise.  Each generation is extended by
+    _index_p_level once per order class q and prime p dividing |G|/q, and
+    the joins new to it form the next generation.  A join's order has one
+    prime factor more than its source's, so a join can only repeat within
+    its generation.  Each batch of joins is made unique by one sort and
+    looked up in the generation's _RowIndex; the new ones are numbered in
+    the order they first occur, and only they become Python ints."""
+    n = G.order
+    nbytes = (n + 63) // 64 * 8
+    row = np.dtype(f"V{nbytes}")
+    primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    powers = {p: _pth_powers(G, p) for p in primes}
+    members = [1]
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    level = np.zeros((int(n > 1), nbytes), dtype=np.uint8)  # rows of the generation
+    level[:, 0] = 1
+    # and their composition series: generators, and the prime index of each step
+    series = indices = np.zeros((len(level), 0), dtype=np.int64)
+    start = 0  # discovery number of its first member
+    while len(level):
+        found, fresh_rows = _RowIndex(), []  # the next generation
+        orders = np.bitwise_count(level).sum(axis=1)
+        for q in np.unique(orders).tolist():
+            where = np.flatnonzero(orders == q)
+            for p in (p for p in primes if n // q % p == 0):
+                for r, g, joins in _index_p_level(G, p, powers[p], level[where],
+                                                  series[where], indices[where]):
+                    uniq, first, inverse = np.unique(joins.view(row).ravel(),
+                                                     return_index=True, return_inverse=True)
+                    number = found.find(uniq)
+                    new = number < 0
+                    fresh = np.flatnonzero(new)
+                    fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
+                    if len(members) + len(fresh) > cap:
+                        fresh = fresh[:max(1, cap + 1 - len(members))]
+                    number[fresh] = len(members) + np.arange(len(fresh))
+                    members += [int.from_bytes(b, "little") for b in uniq[fresh].tolist()]
+                    if len(members) > cap:
+                        raise _cap_error(cap, members)
+                    found.add(uniq[new], number[new])
+                    take = first[fresh]
+                    source = where[r[take]]
+                    fresh_rows.append((joins[take], np.column_stack((series[source], g[take])),
+                                       np.column_stack((indices[source], np.full(len(take), p)))))
+                    src.append(start + where[r])
+                    dst.append(number[inverse])
+        start += len(level)
+        if not fresh_rows:
+            break
+        level, series, indices = map(np.concatenate, zip(*fresh_rows))
+    return members, (np.concatenate(src), np.concatenate(dst)) if len(primes) < 2 else None
+
+
+def _cap_error(cap: int, members: list[int]) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"subgroup count exceeded the cap {cap}: stopped after {len(members)} subgroups, "
+        f"the largest of order {max(b.bit_count() for b in members)} "
+        "(pass max_subgroups to override)")
 
 
 def _generic_joins(G: FiniteGroup, h_bits: int) -> list[int]:
@@ -391,61 +538,39 @@ def _generic_joins(G: FiniteGroup, h_bits: int) -> list[int]:
 
 def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> SubgroupLattice:
     """Materialize the full subgroup lattice by extension from the trivial
-    subgroup, recording every extension H -> J as a containment edge.
+    subgroup.
 
-    The frontier is consumed one generation at a time: the members found
-    while extending one generation form the next, in discovery order.  In
-    a group of prime-power order p^k, H is extended only by elements g
-    outside H with g^p in H that normalize H, so every join J = H<g> has
-    index p over H and is the coset-power union H u Hg u ... u Hg^(p-1).
-    A generation is then one order level, and _index_p_level extends it
-    in one vectorised pass over all (H, g) pairs, in chunks.  That finds
-    every subgroup: each J > 1 of a p-group has a maximal subgroup H,
-    which is normal of index p, and J = H<g> for any g in J \\ H.  Other
-    orders take the generic extension <H, g> member by member, built coset
-    by coset of H, for every g outside H except those that provably
-    regenerate a join already taken.  Under both rules every pair H < K
-    is joined by a chain of recorded edges (in a p-group the normalizer
-    of H in K is larger than H), so SubgroupLattice derives containment
-    from the edges alone.
+    Cyclic extension (Neubueser) comes first: a member H of order q is
+    extended by the elements g outside H with g^p in H that normalize H,
+    for each prime p dividing |G|/q, so every join J = H<g> has index p
+    over H and is the coset-power union H u Hg u ... u Hg^(p-1).  One
+    generation is extended one order class and prime at a time, each in a
+    vectorised pass over all (H, g) pairs in chunks (_index_p_level), and
+    repeated joins are dropped in numpy (_cyclic_extension).  This finds
+    every solvable subgroup: a solvable J > 1 has a normal subgroup H of
+    prime index p, and J = H<g> for any g in J \\ H.  So it reaches G
+    exactly when G is solvable.  Otherwise the members are found again by
+    the generic extension <H, g>, member by member, built coset by coset of
+    H, for every g outside H except those that provably regenerate a join
+    already taken.
+
+    In a group of prime-power order every extension H -> J is kept as a
+    containment edge; these edges chain every pair H < K, since the
+    normalizer of H in K is larger than H.  Other orders keep no edges, and
+    SubgroupLattice takes their containment from the pair kernel.
     """
     cap = DEFAULT_MAX_SUBGROUPS if max_subgroups is None else int(max_subgroups)
-    full = (1 << G.order) - 1
-    pk = prime_power(G.order)
-    if pk is None:
-        def joins(level):
-            for r, h_bits in enumerate(level):
-                for j_bits in _generic_joins(G, h_bits):
-                    yield r, j_bits
-    else:
-        joins = partial(_index_p_level, G, pk[0], _pth_powers(G, pk[0]))
-
-    found: dict[int, int] = {1: 0}  # bitset -> discovery number
-    members = [1]
-    src: list[int] = []
-    dst: list[int] = []
-    level = [1] if G.order > 1 else []
-    while level:
-        ids = [found[h_bits] for h_bits in level]
-        frontier: list[int] = []
-        for r, j_bits in joins(level):
-            j = found.get(j_bits)
-            if j is None:
-                j = found[j_bits] = len(members)
-                members.append(j_bits)
-                if len(members) > cap:
-                    raise ResourceLimitError(
-                        f"subgroup count exceeded the cap {cap}: stopped after "
-                        f"{len(members)} subgroups, the largest of order "
-                        f"{max(b.bit_count() for b in members)} (pass max_subgroups to override)"
-                    )
-                if j_bits != full:
-                    frontier.append(j_bits)
-            src.append(ids[r])
-            dst.append(j)
-        level = frontier
-    return SubgroupLattice(G, members, (np.array(src, dtype=np.int64),
-                                        np.array(dst, dtype=np.int64)))
+    members, edges = _cyclic_extension(G, cap)
+    if members[-1] != (1 << G.order) - 1:  # G is not solvable
+        members, edges, found = [1], None, {1}
+        for h_bits in members:  # grows while iterated: breadth-first
+            for j_bits in _generic_joins(G, h_bits):
+                if j_bits not in found:
+                    found.add(j_bits)
+                    members.append(j_bits)
+                    if len(members) > cap:
+                        raise _cap_error(cap, members)
+    return SubgroupLattice(G, members, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,34 @@ class TestOutputContracts:
         assert (code, out) == (2, "")
         assert err.endswith(f": error: unrecognized arguments: {refused}\n")
 
+    @pytest.mark.parametrize("argv,usage", [
+        (["formula", "cyclic", "--n", "3", "--p", "5"], "usage: facnum formula cyclic [-h] --n N"),
+        (["explore", "theorem5", "--p", "2", "--n", "2", "--tables", "x"],
+         "usage: facnum explore theorem5 [-h] --p P --n N"),
+        (["f2", "named:D8", "extra"], "usage: facnum f2 [-h]"),
+    ])
+    def test_undeclared_flag_shows_the_leaf_usage(self, capsys, argv, usage):
+        # the parser of the family or sweep reports it, with its own flags
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(usage) and "usage: facnum [-h]" not in err
+        prog = usage[len("usage: "):usage.index(" [-h]")]
+        assert f"\n{prog}: error: unrecognized arguments: " in err
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        # a sweep rebound after the parser was built still reaches the command
+        calls = []
+        sweep = cli.check_theorem5
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_theorem5", counted)
+        code, _, _ = run(capsys, "explore", "theorem5", "--p", "2", "--n", "2")
+        assert code == 0 and calls == [(2, 2)]
+
     @pytest.mark.parametrize("spec,message", [
         ("named:D8:p=3", "D8 takes no parameter p"),
         ("named:M:p=3:n=9", "M takes no parameter n"),

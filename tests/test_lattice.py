@@ -144,7 +144,8 @@ def z8_semidirect(multiplier: int):
         [tuple((i + 1) % 8 for i in range(8)), tuple(multiplier * i % 8 for i in range(8))])
 
 
-# Orders that are not prime powers take the generic extension path.
+# Orders that are not prime powers: the cyclic extension runs per order class
+# and prime, and containment comes from the pair kernel.
 NON_PRIME_POWER = [
     ("S3", lambda: permutation_group([(1, 0, 2), (1, 2, 0)], "S3")),
     ("Z6", lambda: permutation_group([(1, 2, 3, 4, 5, 0)], "Z6")),
@@ -323,6 +324,66 @@ class TestLevelPass:
         assert str(raised.value) == str(expected.value)
 
 
+def generic_members(G) -> set[int]:
+    """Member bitsets from the generic extension alone: a cyclic pass that
+    never leaves the trivial group sends enumerate_subgroups to it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_cyclic_extension", lambda G, cap: ([1], None))
+        return {s.bits for s in enumerate_subgroups(G).subgroups}
+
+
+SOLVABLE_COMPOSITE = [
+    ("D60", lambda: dihedral_group(30)),
+    ("D120", lambda: dihedral_group(60)),
+    ("Z360", lambda: cyclic_group_of_order(360)),
+    ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+    ("D60xZ3", lambda: direct_product(dihedral_group(30), cyclic_group_of_order(3))),
+]
+A5 = ("A5", lambda: permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
+
+
+class TestCyclicExtension:
+    """The index-p pass per order class and prime on orders that are not
+    prime powers, and the generic fallback when it does not reach G."""
+
+    @pytest.mark.parametrize("label,builder", SOLVABLE_COMPOSITE + [A5])
+    def test_members_and_lists_against_generic_path_and_leq(self, label, builder):
+        G = builder()
+        lat = enumerate_subgroups(G)
+        assert {s.bits for s in lat.subgroups} == generic_members(G)
+        assert_lists_match_leq(lat)
+
+    def test_reaches_g_exactly_when_solvable(self):
+        for label, builder in SOLVABLE_COMPOSITE + [A5]:
+            G = builder()
+            members, edges = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
+            assert (members[-1] == (1 << G.order) - 1) == (label != "A5")
+            assert edges is None  # two primes or more: no edges kept
+            if label == "A5":
+                assert len(members) == 58  # every subgroup but A5 itself
+
+    @pytest.mark.parametrize("label,builder", SOLVABLE_COMPOSITE[:2] + SOLVABLE_COMPOSITE[3:4])
+    def test_every_chunk_boundary(self, label, builder, monkeypatch):
+        G = builder()
+        members, _ = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
+        monkeypatch.setattr(lattice, "_LEVEL_CELLS", 1)
+        assert lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)[0] == members
+
+    def test_d2520_in_bounded_time(self):
+        G = dihedral_group(1260)
+        t0 = time.perf_counter()
+        lat = enumerate_subgroups(G)
+        assert time.perf_counter() - t0 < 10
+        assert len(lat) == 36 + 4368  # tau(1260) + sigma(1260)
+
+    def test_d2520_cap_in_bounded_time(self):
+        G = dihedral_group(1260)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"after 1001 subgroups"):
+            enumerate_subgroups(G, max_subgroups=1000)
+        assert time.perf_counter() - t0 < 5
+
+
 class TestContainment:
     @pytest.mark.parametrize("label,builder", ORACLE_GROUPS + [
         ("E27", lambda: heisenberg_p3(3)),
@@ -345,7 +406,7 @@ class TestContainment:
 
 
 # Lattices the containment tests cut into small chunks.  D60, S4 and A5
-# take the generic extension path, whose edges can skip order classes.
+# have orders that are not prime powers: their edges are every pair H < K.
 CHUNKED_GROUPS = [
     ("Z2^5", lambda: elementary_abelian_group(2, 5)),
     ("Z2^6", lambda: elementary_abelian_group(2, 6)),
@@ -378,7 +439,7 @@ def costliest_row(lat) -> int:
     """Cells of the costliest member in the containment pass: its mark row,
     at most the member count rounded up to whole words, or the up-list
     entries its edge targets gather."""
-    src, dst = lat._edges
+    src, dst = lat._edges or lattice._inclusions(lat.words, lat.orders, lat._classes)
     gathered = np.zeros(len(lat), dtype=np.int64)
     np.add.at(gathered, src, lat.up_degrees[dst])
     return max(len(lat) + 7, int(gathered.max()))
