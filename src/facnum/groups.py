@@ -29,6 +29,17 @@ least a outside R: a failing a names a witness triple (x, a, y); a
 passing a joins the generators and adds the coset Ra, which is disjoint
 from R (r a = r' would put a = r^-1 r' in R), so R at least doubles.
 After at most log2(n) checks R = G, and every element passes.
+
+A Cayley table file's body is read by a byte pass, in row blocks of about
+_LIGHT_BLOCK_ELEMS bytes, each a numpy array of its bytes.  A block must
+hold only the digits 0-9, spaces and "\n"; its tokens are the runs
+between the edges of its digits; each of the first n lines must hold n
+tokens and every later line none; each value is built by Horner's rule in
+int64 from at most 18 digits and must lie below n.  When any check fails
+anywhere, the byte pass declines without a message, and the per-row reader
+reads the whole body again line by line, as str.split and int() read it,
+and names the first bad row in its error.  So either reader gives the same
+table, or the same error, for every input.
 """
 
 from __future__ import annotations
@@ -106,6 +117,15 @@ def _right_cosets(G: FiniteGroup, h_idx: np.ndarray, gens) -> np.ndarray:
                 label[t[h_idx, x]] = k
                 reps.append(x)
     return label
+
+
+def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
+    """x^p for every element x, in p - 1 gathers."""
+    x = np.arange(G.order)
+    y = x
+    for _ in range(p - 1):
+        y = G.table[y, x]
+    return y
 
 
 class FiniteGroup:
@@ -430,37 +450,72 @@ def build_named(name: str, p: int | None = None, n: int | None = None, *,
 # Cayley table files
 # ---------------------------------------------------------------------------
 
-def parse_cayley_table(text: str, *, label: str = "table",
-                       max_order: int | None = None) -> FiniteGroup:
-    """Parse the textual Cayley-table format.
+def _lines(text: str):
+    """text.splitlines(keepends=True), one line at a time: cutting after
+    each "\n" never separates a "\r\n"."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines(keepends=True)
+        start = end
 
-    Leading '#' comment lines (and blank lines) are allowed before the
-    header; after that the file is strict: line 1 is the decimal order n,
-    followed by exactly n rows of n space-separated indices in [0, n).
-    The identity may sit at any index e (row e and column e must act as
-    the identity); it is renumbered to 0 on load.
-    """
-    lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and (not lines[pos].strip() or lines[pos].lstrip().startswith("#")):
-        pos += 1
-    if pos >= len(lines):
-        raise ParseError("no order line found")
-    header = lines[pos].strip()
-    try:
-        n = int(header)
-    except ValueError as exc:
-        raise ParseError(f"line {pos + 1}: order must be a decimal integer, got {header!r}") from exc
-    if n < 1:
-        raise ParseError(f"line {pos + 1}: order must be positive, got {n}")
-    _check_order_cap(n, max_order)
-    body = lines[pos + 1:]
-    while body and not body[-1].strip():
-        body.pop()
-    if len(body) != n:
-        raise ParseError(f"expected {n} table rows, found {len(body)}")
+
+def _read_row_blocks(text: str, start: int, n: int) -> np.ndarray | None:
+    """The byte pass (module docstring): the body text[start:] as an n x n
+    table, or None when a check fails, with no message."""
+    table = np.empty(n * n, dtype=np.int32)
+    line = 0  # lines before the block
+    while start < len(text):
+        cut = text.find("\n", start + _LIGHT_BLOCK_ELEMS - 1)
+        end = len(text) if cut < 0 else cut + 1
+        try:
+            block = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            return None
+        start = end
+        digits = block - 48  # uint8: every non-digit wraps to 10 or more
+        is_digit = digits < 10
+        breaks = np.flatnonzero(block == 10)
+        if np.count_nonzero(is_digit) + np.count_nonzero(block == 32) + len(breaks) != len(block):
+            return None
+        # tokens run from a rise to the next fall of is_digit
+        edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+        first, stop = edges[0::2], edges[1::2]
+        # entries per line, and an empty segment after a final "\n"; a block
+        # not ending in "\n" ends the body
+        per_line = np.diff(np.searchsorted(first, breaks), prepend=0, append=len(first))
+        lines = len(breaks) + int(block[-1] != 10)
+        rows = min(max(n - line, 0), lines)
+        if np.any(per_line[:rows] != n) or np.any(per_line[rows:]):
+            return None
+        if len(first):
+            width = int((stop - first).max())
+            if width > 18:  # 19 digits may not fit in int64
+                return None
+            # Horner's rule over every token left-padded with zeros to width
+            value = np.zeros(len(first), dtype=np.int64)
+            at = stop - width
+            for _ in range(width):
+                value *= 10
+                value += np.where(at >= first, digits.take(at, mode="clip"), 0)
+                at += 1
+            if int(value.max()) >= n:
+                return None
+            table[line * n:(line + rows) * n] = value
+        line += lines
+    return table.reshape(n, n) if line >= n else None
+
+
+def _read_rows(body: str, n: int) -> np.ndarray:
+    """The per-row reader: the body as an n x n table, read line by line,
+    raising a ParseError that names the first bad row."""
+    lines = body.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if len(lines) != n:
+        raise ParseError(f"expected {n} table rows, found {len(lines)}")
     table = np.empty((n, n), dtype=np.int32)
-    for i, line in enumerate(body):
+    for i, line in enumerate(lines):
         fields = line.split()
         if len(fields) != n:
             raise ParseError(f"row {i}: expected {n} entries, found {len(fields)}")
@@ -477,6 +532,40 @@ def parse_cayley_table(text: str, *, label: str = "table",
             j = int(bad[0, 0])
             raise ParseError(f"row {i}, column {j}: entry {row[j]} out of range [0, {n})")
         table[i] = row
+    return table
+
+
+def parse_cayley_table(text: str, *, label: str = "table",
+                       max_order: int | None = None) -> FiniteGroup:
+    """Parse the textual Cayley-table format.
+
+    Leading '#' comment lines (and blank lines) are allowed before the
+    header; after that the file is strict: line 1 is the decimal order n,
+    followed by exactly n rows of n space-separated indices in [0, n).
+    The identity may sit at any index e (row e and column e must act as
+    the identity); it is renumbered to 0 on load.  The body goes through
+    the byte pass, and through the per-row reader when the byte pass
+    declines (module docstring).
+    """
+    offset = 0
+    for pos, line in enumerate(_lines(text)):
+        if line.strip() and not line.lstrip().startswith("#"):
+            break
+        offset += len(line)
+    else:
+        raise ParseError("no order line found")
+    header = line.strip()
+    try:
+        n = int(header)
+    except ValueError as exc:
+        raise ParseError(f"line {pos + 1}: order must be a decimal integer, got {header!r}") from exc
+    if n < 1:
+        raise ParseError(f"line {pos + 1}: order must be positive, got {n}")
+    _check_order_cap(n, max_order)
+    start = offset + len(line)
+    table = _read_row_blocks(text, start, n)
+    if table is None:
+        table = _read_rows(text[start:], n)
 
     idx = np.arange(n, dtype=np.int32)
     e = -1
@@ -587,8 +676,8 @@ def is_elementary_abelian(G: FiniteGroup) -> tuple[bool, int | None, int | None]
     if pk is None or not G.is_commutative:
         return False, None, None
     p, n = pk
-    orders = G.element_orders()
-    if not np.all(orders[1:] == p):
+    # exponent p: x^p = 1 for every x
+    if np.any(_pth_powers(G, p)):
         return False, None, None
     return True, p, n
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, VerificationError
 from .formulas import hall_mobius, is_prime
-from .groups import (FiniteGroup, _pack, _right_cosets, _unpack, is_elementary_abelian,
-                     prime_power, quotient)
+from .groups import (FiniteGroup, _pack, _pth_powers, _right_cosets, _unpack,
+                     is_elementary_abelian, prime_power, quotient)
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 # unordered member pairs sd may take: its permuting-pairs route tests
@@ -327,14 +327,6 @@ def _split(flat: np.ndarray, degrees: np.ndarray) -> list[np.ndarray]:
     """flat as consecutive views of the given lengths."""
     bounds = np.cumsum(degrees).tolist()
     return [flat[s:e] for s, e in zip([0] + bounds[:-1], bounds)]
-
-
-def _pth_powers(G: FiniteGroup, p: int) -> np.ndarray:
-    x = np.arange(G.order)
-    y = x
-    for _ in range(p - 1):
-        y = G.table[y, x]
-    return y
 
 
 def _index_p_level(G: FiniteGroup, p: int, powers: np.ndarray, raw: np.ndarray,

@@ -183,6 +183,19 @@ class TestF2Command:
         code, out, _ = run(capsys, "f2", f"table:{path}")
         assert code == 0 and "F2 = 41" in out
 
+    def test_out_of_range_in_last_row_exits_2_under_optimize(self, tmp_path):
+        # the byte pass reads the first rows, declines at the last one, and
+        # the per-row reader names it: no assert is involved
+        rows = [[(i + j) % 1024 for j in range(1024)] for i in range(1024)]
+        rows[1023][517] = 1024
+        path = tmp_path / "z1024.tbl"
+        path.write_text("1024\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+        proc = run_optimized(f"import sys; from facnum import cli; "
+                             f"sys.exit(cli.main(['f2', 'table:{path}']))")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "facnum: row 1023, column 517: entry 1024 out of range [0, 1024)\n"
+        assert proc.stdout == ""
+
     def test_verify_hall_failure_is_reported(self, capsys, monkeypatch):
         # Hall's formula off by one on the members of order p fails only the
         # per-member check; the hall line, the JSON and the exit code must

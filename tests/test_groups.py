@@ -222,6 +222,46 @@ def test_element_orders_match_element_order(builder):
     assert orders.tolist() == [G.element_order(a) for a in range(G.order)]
 
 
+
+def _power(G, x: int, k: int) -> int:
+    """x^k by square and multiply, one G.mult at a time."""
+    result = 0
+    while k:
+        if k & 1:
+            result = G.mult(result, x)
+        x, k = G.mult(x, x), k >> 1
+    return result
+
+
+# the lattice tests' groups, plus groups whose exponent test walks far
+PTH_POWER_GROUPS = ORACLE_GROUPS + [
+    ("Z1024", lambda: cyclic_group(2, 10)),
+    ("Z2^7", lambda: elementary_abelian_group(2, 7)),
+    ("E27", lambda: heisenberg_p3(3)),
+    ("M27", lambda: modular_p3(3)),
+    ("Z2xZ4", lambda: build_abelian(PartitionType(2, (1, 2)))),
+]
+
+
+@pytest.mark.parametrize("builder", [b for _, b in PTH_POWER_GROUPS],
+                         ids=[label for label, _ in PTH_POWER_GROUPS])
+def test_pth_powers_and_exponent_test_match_element_orders(builder):
+    G = builder()
+    orders = G.element_orders()
+    for p in (2, 3, 5, 7, 13):
+        powers = groups._pth_powers(G, p)
+        assert powers.tolist() == [_power(G, x, p) for x in range(G.order)]
+        # x^p = 1 exactly when the order of x divides p
+        assert (powers == 0).tolist() == (p % orders == 0).tolist()
+    pk = prime_power(G.order)
+    if G.order == 1:
+        expected = (True, None, 0)
+    elif G.is_commutative and pk is not None and np.all(orders[1:] == pk[0]):
+        expected = (True, *pk)
+    else:
+        expected = (False, None, None)
+    assert is_elementary_abelian(G) == expected
+
 # a latin square with identity 0 and two-sided inverses, not associative
 NONASSOC_LOOP_5 = [
     [0, 1, 2, 3, 4],
@@ -431,6 +471,113 @@ class TestCayleyTableIO:
         path.write_text(quaternion8().to_table_text())
         G = load_cayley_table(path)
         assert G.order == 8 and G.label == "q8"
+
+
+def _table_text(rows, sep: str = " ", eol: str = "\n") -> str:
+    return eol.join(sep.join(map(str, row)) for row in rows)
+
+
+def _with_entry(rows, i: int, j: int, entry: str):
+    rows = [list(map(str, row)) for row in rows]
+    rows[i][j] = entry
+    return rows
+
+
+def _parser_corpus(seed: int = 13) -> list[str]:
+    """Valid and malformed Cayley-table texts: the layouts and entries
+    below, then seeded random edits of the small ones."""
+    rng = random.Random(seed)
+    z6 = CYCLIC6_TEXT.splitlines()[1:]
+    d8 = dihedral8().table.tolist()
+    # Z5 with its identity at index 3: i * j = i + j - 3 mod 5
+    shifted = [[(i + j - 3) % 5 for j in range(5)] for i in range(5)]
+    small = [
+        "# cyclic of order 6\n\n  # indented comment\n6\n" + "\n".join(z6) + "\n",
+        "5\n" + _table_text(shifted) + "\n",
+        # trailing blank lines, or no final line break
+        "8\n" + _table_text(d8) + "\n\n   \n\n",
+        "8\n" + _table_text(d8),
+        # CRLF, tabs, runs of spaces
+        "8\r\n" + _table_text(d8, eol="\r\n") + "\r\n",
+        "8\n" + _table_text(d8, sep="\t") + "\n",
+        "8\n" + _table_text(d8, sep="   ") + "  \n",
+        # zero-padded to 22 digits, and to the byte pass's limit of 18
+        "8\n" + _table_text(_with_entry(d8, 7, 1, "0" * 21 + "5")) + "\n",
+        "8\n" + _table_text(_with_entry(d8, 0, 0, "0" * 18)) + "\n",
+        # a blank line inside the body, the wrong row count, short and long rows
+        "8\n" + _table_text(d8[:4]) + "\n\n" + _table_text(d8[4:]) + "\n",
+        "8\n" + _table_text(d8[:7]) + "\n",
+        "8\n" + _table_text(d8 + d8[:1]) + "\n",
+        "8\n" + _table_text([d8[0][:7]] + d8[1:]) + "\n",
+        "8\n" + _table_text(d8[:7] + [d8[7] + [0]]) + "\n",
+    ]
+    entries = [
+        "8\n" + _table_text(_with_entry(d8, 2, 3, entry)) + "\n"
+        for entry in ("01", "+1", "0_1", "-1", "1.0", "0x1", "8", "\u0661", "1\u00a0")
+    ]
+    # Z300 takes about 350 KB, more than one row block; the bad entries sit
+    # in the last row
+    big = [[(i + j) % 300 for j in range(300)] for i in range(300)]
+    large = ["300\n" + _table_text(_with_entry(big, 299, 17, entry)) + "\n"
+             for entry in ("16", "300", "9" * 19)]
+    edits = ["", " ", "\n", "\r", "\t", "0", "9", "01", "-", "x", "\u00e9", "\x0c",
+             "0" * 19 + "1"]
+    edited = []
+    for _ in range(300):
+        text = rng.choice(small)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(edits) + text[k + rng.randint(0, 1):]
+        edited.append(text)
+    return small + entries + large + edited
+
+
+def _parse_outcome(text: str):
+    try:
+        return parse_cayley_table(text).table.tobytes()
+    except (ParseError, ValidationError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+class TestByteReader:
+    """The byte pass of parse_cayley_table against the per-row reader."""
+
+    @pytest.mark.parametrize("block", [1, 10, 100, groups._LIGHT_BLOCK_ELEMS])
+    def test_same_table_or_error_as_per_row_reader(self, monkeypatch, block):
+        monkeypatch.setattr(groups, "_LIGHT_BLOCK_ELEMS", block)
+        corpus = _parser_corpus()
+        taken = {}
+        read_row_blocks = groups._read_row_blocks
+
+        def spy(text, start, n):
+            table = read_row_blocks(text, start, n)
+            taken[text] = table is not None
+            return table
+
+        monkeypatch.setattr(groups, "_read_row_blocks", spy)
+        fast = [_parse_outcome(text) for text in corpus]
+        monkeypatch.setattr(groups, "_read_row_blocks", lambda text, start, n: None)
+        for text, outcome in zip(corpus, fast):
+            assert outcome == _parse_outcome(text), repr(text[:200])
+        # both readers had work: tables the byte pass read, and tables the
+        # per-row reader read after the byte pass declined
+        accepted = [taken.get(text, False) for text in corpus]
+        assert any(accepted)
+        assert any(isinstance(o, bytes) for o, a in zip(fast, accepted) if not a)
+
+    @pytest.mark.parametrize("builder", [
+        dihedral8,
+        lambda: elementary_abelian_group(2, 5),
+        lambda: build_abelian(PartitionType(3, (3, 3))),
+    ], ids=["D8", "Z2^5", "Z27xZ27"])
+    def test_exported_tables_take_the_byte_pass(self, monkeypatch, builder):
+        G = builder()
+
+        def refuse(body, n):
+            raise AssertionError("the per-row reader ran")
+
+        monkeypatch.setattr(groups, "_read_rows", refuse)
+        assert np.array_equal(parse_cayley_table(G.to_table_text()).table, G.table)
 
 
 class TestQuotient:
