@@ -184,8 +184,8 @@ class TestF2Command:
         assert code == 0 and "F2 = 41" in out
 
     def test_out_of_range_in_last_row_exits_2_under_optimize(self, tmp_path):
-        # the byte pass reads the first rows, declines at the last one, and
-        # the per-row reader names it: no assert is involved
+        # the byte pass reads the first blocks and declines at the last row;
+        # the per-row reader then names that row with checks python -O keeps
         rows = [[(i + j) % 1024 for j in range(1024)] for i in range(1024)]
         rows[1023][517] = 1024
         path = tmp_path / "z1024.tbl"
