@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -401,51 +403,21 @@ def _index_p_level(G: FiniteGroup, p: int, powers: np.ndarray, raw: np.ndarray,
         yield tuple(map(np.concatenate, zip(*held)))
 
 
-class _RowIndex:
-    """Numbers of distinct byte rows (a numpy void dtype), exactly.  The
-    rows lie in sorted runs, each at least twice as long as the next, like
-    the digits of a binary counter: a lookup searches every run, and an
-    addition merges runs of similar length, so each row is copied into a
-    merged run O(log rows) times."""
-
-    def __init__(self):
-        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The number of each of the sorted keys, -1 where absent."""
-        number = np.full(len(keys), -1, dtype=np.int64)
-        for run, ids in self.runs:
-            at = np.minimum(np.searchsorted(run, keys), len(run) - 1)
-            hit = run[at] == keys
-            number[hit] = ids[at[hit]]
-        return number
-
-    def add(self, keys: np.ndarray, numbers: np.ndarray) -> None:
-        """Take the sorted keys, none present yet, with their numbers."""
-        while self.runs and len(self.runs[-1][0]) <= 2 * len(keys):
-            run, ids = self.runs.pop()
-            at = np.searchsorted(run, keys)
-            keys, numbers = np.insert(run, at, keys), np.insert(ids, at, numbers)
-        if len(keys):
-            self.runs.append((keys, numbers))
-
-
 def _cyclic_extension(G: FiniteGroup, cap: int):
     """(members in discovery order, edges): the edges are (source, target)
     arrays of discovery numbers, one entry per extension, when |G| is a
     prime power, and None otherwise.  Each generation is extended by
     _index_p_level once per order class q and prime p dividing |G|/q, and
-    the joins new to it form the next generation.  A join's order has one
-    prime factor more than its source's, so a join can only repeat within
-    its generation.  Each batch of joins is made unique by one sort and
-    looked up in the generation's _RowIndex; the new ones are numbered in
-    the order they first occur, and only they become Python ints."""
+    the joins not seen before form the next generation.  Each batch of
+    joins is made unique by one sort, and its distinct rows are looked up
+    as ints in one dict from member bitset to discovery number; the new
+    ones are numbered in the order they first occur."""
     n = G.order
     nbytes = (n + 63) // 64 * 8
     row = np.dtype(f"V{nbytes}")
     primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
     powers = {p: _pth_powers(G, p) for p in primes}
-    members = [1]
+    number_of = {1: 0}  # member bitset -> discovery number, in discovery order
     src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     level = np.zeros((int(n > 1), nbytes), dtype=np.uint8)  # rows of the generation
     level[:, 0] = 1
@@ -453,7 +425,7 @@ def _cyclic_extension(G: FiniteGroup, cap: int):
     series = indices = np.zeros((len(level), 0), dtype=np.int64)
     start = 0  # discovery number of its first member
     while len(level):
-        found, fresh_rows = _RowIndex(), []  # the next generation
+        fresh_rows = []  # the next generation
         orders = np.bitwise_count(level).sum(axis=1)
         for q in np.unique(orders).tolist():
             where = np.flatnonzero(orders == q)
@@ -462,17 +434,16 @@ def _cyclic_extension(G: FiniteGroup, cap: int):
                                                   series[where], indices[where]):
                     uniq, first, inverse = np.unique(joins.view(row).ravel(),
                                                      return_index=True, return_inverse=True)
-                    number = found.find(uniq)
-                    new = number < 0
-                    fresh = np.flatnonzero(new)
+                    keys = list(map(int.from_bytes, uniq.tolist(), repeat("little")))
+                    number = np.fromiter(map(number_of.get, keys, repeat(-1)), np.int64, len(keys))
+                    fresh = np.flatnonzero(number < 0)
                     fresh = fresh[np.argsort(first[fresh])]  # first-occurrence order
-                    if len(members) + len(fresh) > cap:
-                        fresh = fresh[:max(1, cap + 1 - len(members))]
-                    number[fresh] = len(members) + np.arange(len(fresh))
-                    members += [int.from_bytes(b, "little") for b in uniq[fresh].tolist()]
-                    if len(members) > cap:
-                        raise _cap_error(cap, members)
-                    found.add(uniq[new], number[new])
+                    fresh = fresh[:max(1, cap + 1 - len(number_of))]
+                    number[fresh] = len(number_of) + np.arange(len(fresh))
+                    number_of.update(zip(map(keys.__getitem__, fresh.tolist()),
+                                         number[fresh].tolist()))
+                    if len(number_of) > cap:
+                        raise _cap_error(cap, number_of)
                     take = first[fresh]
                     source = where[r[take]]
                     fresh_rows.append((joins[take], np.column_stack((series[source], g[take])),
@@ -483,10 +454,10 @@ def _cyclic_extension(G: FiniteGroup, cap: int):
         if not fresh_rows:
             break
         level, series, indices = map(np.concatenate, zip(*fresh_rows))
-    return members, (np.concatenate(src), np.concatenate(dst)) if len(primes) < 2 else None
+    return list(number_of), (np.concatenate(src), np.concatenate(dst)) if len(primes) < 2 else None
 
 
-def _cap_error(cap: int, members: list[int]) -> ResourceLimitError:
+def _cap_error(cap: int, members: Collection[int]) -> ResourceLimitError:
     return ResourceLimitError(
         f"subgroup count exceeded the cap {cap}: stopped after {len(members)} subgroups, "
         f"the largest of order {max(b.bit_count() for b in members)} "
@@ -538,7 +509,8 @@ def enumerate_subgroups(G: FiniteGroup, *, max_subgroups: int | None = None) -> 
     over H and is the coset-power union H u Hg u ... u Hg^(p-1).  One
     generation is extended one order class and prime at a time, each in a
     vectorised pass over all (H, g) pairs in chunks (_index_p_level), and
-    repeated joins are dropped in numpy (_cyclic_extension).  This finds
+    repeated joins are dropped by one sort per batch and one dict over the
+    whole enumeration (_cyclic_extension).  This finds
     every solvable subgroup: a solvable J > 1 has a normal subgroup H of
     prime index p, and J = H<g> for any g in J \\ H.  So it reaches G
     exactly when G is solvable.  Otherwise the members are found again by

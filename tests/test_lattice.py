@@ -248,6 +248,9 @@ class TestEnumeration:
         ("Z360", lambda: cyclic_group_of_order(360), 24),
         ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)]), 30),
         ("A5", lambda: permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 59),
+        # not solvable: the cyclic pass stops at 154 and 488 members
+        ("S5", lambda: permutation_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]), 156),
+        ("A6", lambda: permutation_group([(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]), 501),
     ])
     def test_composite_orders_in_bounded_time(self, label, builder, size):
         G = builder()
@@ -364,10 +367,22 @@ class TestCyclicExtension:
 
     @pytest.mark.parametrize("label,builder", SOLVABLE_COMPOSITE[:2] + SOLVABLE_COMPOSITE[3:4])
     def test_every_chunk_boundary(self, label, builder, monkeypatch):
+        """One join per batch against the default batches: the same members,
+        and at small caps, which cut a default batch, the same cap message."""
+        def cap_messages():
+            messages = []
+            for cap in (7, 20):
+                with pytest.raises(ResourceLimitError) as raised:
+                    lattice._cyclic_extension(G, cap)
+                messages.append(str(raised.value))
+            return messages
+
         G = builder()
         members, _ = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
+        messages = cap_messages()
         monkeypatch.setattr(lattice, "_LEVEL_CELLS", 1)
         assert lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)[0] == members
+        assert cap_messages() == messages
 
     def test_d2520_in_bounded_time(self):
         G = dihedral_group(1260)
