@@ -245,23 +245,21 @@ def index_p_joins_per_member(G: FiniteGroup, p: int, powers, h_bits: int) -> lis
 
 
 def discovery_per_member(G: FiniteGroup, p: int, cap: int = 100_000):
-    """(members in discovery order, edge sources, edge targets) of a
-    p-group, from a breadth-first queue that extends one member at a time
-    with index_p_joins_per_member; the same ResourceLimitError text as
-    enumerate_subgroups past the cap."""
+    """Members of a p-group in discovery order, from a breadth-first queue
+    that extends one member at a time with index_p_joins_per_member; the
+    same ResourceLimitError text as enumerate_subgroups past the cap."""
     powers = np.arange(G.order)
     for _ in range(p - 1):
         powers = G.table[powers, np.arange(G.order)]
     full = (1 << G.order) - 1
-    found = {1: 0}
+    found = {1}
     members = [1]
-    src, dst = [], []
     queue = deque([1] if G.order > 1 else [])
     while queue:
         h_bits = queue.popleft()
         for j_bits in index_p_joins_per_member(G, p, powers, h_bits):
             if j_bits not in found:
-                found[j_bits] = len(members)
+                found.add(j_bits)
                 members.append(j_bits)
                 if len(members) > cap:
                     raise ResourceLimitError(
@@ -271,6 +269,4 @@ def discovery_per_member(G: FiniteGroup, p: int, cap: int = 100_000):
                     )
                 if j_bits != full:
                     queue.append(j_bits)
-            src.append(found[h_bits])
-            dst.append(found[j_bits])
-    return members, src, dst
+    return members

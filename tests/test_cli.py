@@ -14,6 +14,8 @@ from facnum.cli import GroupSpec, main
 from facnum.errors import ParseError
 from facnum.groups import dihedral8, elementary_abelian_group, permute_elements
 
+from helpers import permutation_group
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -232,6 +234,22 @@ class TestF2Command:
         code, out, _ = run(capsys, "f2", f"table:{path}", "--verify")
         assert code == 0 and "hall: skipped" in out
 
+    def test_verify_json_skipped_matches_checks(self, capsys, tmp_path):
+        # one record of each verdict: the report's skipped reasons are the
+        # checks that say "skipped", the Hall check of a non-p-group too
+        path = tmp_path / "s3.tbl"
+        path.write_text(permutation_group([(1, 0, 2), (1, 2, 0)]).to_table_text())
+        code, out, _ = run(capsys, "f2", f"table:{path}", "--verify", "--format", "json")
+        verify = json.loads(out)["verify"]
+        assert code == 0
+        reason = ("group is not abelian: the lattice forms require sd(H) = 1 "
+                  "and quotient duality")
+        assert verify["checks"] == {"eq1": "pass", "eq2_subgroup": f"skipped: {reason}",
+                                    "eq2_quotient": f"skipped: {reason}",
+                                    "hall": "skipped: order is not a prime power"}
+        assert verify["report"]["skipped"] == {"eq2_subgroup": reason, "eq2_quotient": reason,
+                                               "hall": "order is not a prime power"}
+
     def test_verify_counts_f2_once(self, capsys, monkeypatch):
         calls = []
         counted = lattice.f2_bruteforce
@@ -292,12 +310,9 @@ class TestF2Command:
             import sys
             from facnum import cli, explore, lattice
             init = lattice.SubgroupLattice.__init__
-            def without_full(self, group, found, edges):
+            def without_full(self, group, found):
                 k = found.index((1 << group.order) - 1)
-                src, dst = edges
-                keep = (src != k) & (dst != k)
-                src, dst = src[keep], dst[keep]
-                init(self, group, found[:k] + found[k + 1:], (src - (src > k), dst - (dst > k)))
+                init(self, group, found[:k] + found[k + 1:])
             lattice.SubgroupLattice.__init__ = without_full
             sys.exit(cli.main(["f2", "named:D8"]))
         """)

@@ -268,11 +268,10 @@ class TestEnumeration:
 
 
 def discovery(G, **kwargs):
-    """Members in discovery order and the edge arrays, as enumerate_subgroups
-    hands them to SubgroupLattice."""
+    """Members in discovery order, as enumerate_subgroups hands them to
+    SubgroupLattice."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "SubgroupLattice",
-                   lambda group, found, edges: (found, edges[0].tolist(), edges[1].tolist()))
+        mp.setattr(lattice, "SubgroupLattice", lambda group, found: found)
         return enumerate_subgroups(G, **kwargs)
 
 
@@ -295,7 +294,7 @@ P_GROUPS = [(label, builder) for label, builder in ORACLE_GROUPS
 
 class TestLevelPass:
     """The index-p level pass against the per-member pass it replaced:
-    the same members in the same discovery order, the same edges."""
+    the same members in the same discovery order."""
 
     @pytest.mark.parametrize("label,builder", P_GROUPS + [
         ("E2197", lambda: heisenberg_p3(13)),
@@ -331,7 +330,7 @@ def generic_members(G) -> set[int]:
     """Member bitsets from the generic extension alone: a cyclic pass that
     never leaves the trivial group sends enumerate_subgroups to it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "_cyclic_extension", lambda G, cap: ([1], None))
+        mp.setattr(lattice, "_cyclic_extension", lambda G, cap: [1])
         return {s.bits for s in enumerate_subgroups(G).subgroups}
 
 
@@ -359,9 +358,8 @@ class TestCyclicExtension:
     def test_reaches_g_exactly_when_solvable(self):
         for label, builder in SOLVABLE_COMPOSITE + [A5]:
             G = builder()
-            members, edges = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
+            members = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
             assert (members[-1] == (1 << G.order) - 1) == (label != "A5")
-            assert edges is None  # two primes or more: no edges kept
             if label == "A5":
                 assert len(members) == 58  # every subgroup but A5 itself
 
@@ -378,10 +376,10 @@ class TestCyclicExtension:
             return messages
 
         G = builder()
-        members, _ = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
+        members = lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)
         messages = cap_messages()
         monkeypatch.setattr(lattice, "_LEVEL_CELLS", 1)
-        assert lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS)[0] == members
+        assert lattice._cyclic_extension(G, lattice.DEFAULT_MAX_SUBGROUPS) == members
         assert cap_messages() == messages
 
     def test_d2520_in_bounded_time(self):
@@ -419,9 +417,40 @@ class TestContainment:
             assert lat.up_degrees[h] == len(above)
             assert lat.down_degrees[h] == len(below)
 
+    @pytest.mark.parametrize("label,builder", [
+        ("Z2^5", lambda: elementary_abelian_group(2, 5)),
+        ("E125", lambda: heisenberg_p3(5)),
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+        A5,
+    ])
+    def test_members_alone_in_any_order(self, label, builder):
+        # containment needs no record of the enumeration, only the members
+        G = builder()
+        lat = enumerate_subgroups(G)
+        bits = [s.bits for s in lat.subgroups]
+        random.Random(len(bits)).shuffle(bits)
+        shuffled = SubgroupLattice(G, bits)
+        assert shuffled.subgroups == lat.subgroups
+        assert lists_digest(shuffled) == lists_digest(lat)
+        assert_lists_match_leq(shuffled)
+
+    def test_d2520_lists_in_bounded_time(self):
+        lat = enumerate_subgroups(dihedral_group(1260))
+        t0 = time.perf_counter()
+        up, down = lat.up_lists, lat.down_lists
+        assert time.perf_counter() - t0 < 5
+        # each of the 4 404 members, and the 103 764 pairs H < K
+        assert int(lat.up_degrees.sum()) == 4404 + 103_764
+        w = lat.words
+        for h in random.Random(2520).sample(range(len(lat)), 50):
+            above = np.flatnonzero(~(w[h] & ~w).any(axis=1)).tolist()
+            below = np.flatnonzero(~(w & ~w[h]).any(axis=1)).tolist()
+            assert up[h].tolist() == above
+            assert down[h].tolist() == [h] + below[:-1]
+
 
 # Lattices the containment tests cut into small chunks.  D60, S4 and A5
-# have orders that are not prime powers: their edges are every pair H < K.
+# have orders that are not prime powers.
 CHUNKED_GROUPS = [
     ("Z2^5", lambda: elementary_abelian_group(2, 5)),
     ("Z2^6", lambda: elementary_abelian_group(2, 6)),
@@ -451,13 +480,11 @@ def assert_lists_match_leq(lat):
 
 
 def costliest_row(lat) -> int:
-    """Cells of the costliest member in the containment pass: its mark row,
-    at most the member count rounded up to whole words, or the up-list
-    entries its edge targets gather."""
-    src, dst = lat._edges or lattice._inclusions(lat.words, lat.orders, lat._classes)
-    gathered = np.zeros(len(lat), dtype=np.int64)
-    np.add.at(gathered, src, lat.up_degrees[dst])
-    return max(len(lat) + 7, int(gathered.max()))
+    """Cells of the costliest member in the containment pass: the incidence
+    words its class gathers per row, the class order times the words from
+    the one that holds the end of the class."""
+    words = (len(lat) + 63) // 64
+    return max(int(lat.orders[a]) * (words - end // 64) for a, end in lat._classes)
 
 
 def lists_digest(lat) -> str:
@@ -472,8 +499,8 @@ def lists_digest(lat) -> str:
 class TestChunkedContainment:
     """The class-by-class containment pass under small cell budgets: one row
     per chunk, and at least three (exactly three in the class of the
-    costliest row), so every class of more than three members is cut into
-    several chunks that must be put back in order."""
+    costliest row), so classes are cut into several chunks that must be put
+    back in order, and the incidence table is built 64 members at a time."""
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("label,builder", CHUNKED_GROUPS)
