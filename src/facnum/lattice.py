@@ -37,8 +37,7 @@ from .groups import (FiniteGroup, _pack, _pth_powers, _right_cosets, _unpack,
                      is_elementary_abelian, prime_power, quotient)
 
 DEFAULT_MAX_SUBGROUPS = 100_000
-# unordered member pairs sd may take: its permuting-pairs route tests
-# each pair in Python, a few microseconds a pair
+# unordered member pairs sd may take; permuting_pairs takes 0.15-0.35 us a pair
 MAX_SD_PAIRS = 10_000_000
 # members up to which verify_inversion computes sd(H) member by member on an
 # abelian lattice; above it, it takes sd(H) = 1
@@ -51,6 +50,8 @@ QUOTIENT_CAP = 400
 _LEVEL_CELLS = 1 << 16
 # uint64 cells per temporary block of the pair kernel: 2 MiB, one core's L2
 _PAIR_CELLS = 1 << 18
+# uint64 cells per temporary block of the permuting-pairs kernel
+_JOIN_CELLS = 1 << 14
 # cells per temporary of the containment pass: the bools of a chunk of the
 # incidence table, and the incidence words a chunk of one order class gathers
 _CONTAIN_CELLS = 1 << 20
@@ -115,7 +116,6 @@ class SubgroupLattice:
         self._up_degrees: np.ndarray | None = None
         self._down_degrees: np.ndarray | None = None
         self._mobius_top: tuple[int, ...] | None = None
-        self._up_sets: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -131,15 +131,6 @@ class SubgroupLattice:
         """Inclusion H_i <= H_j, O(words)."""
         bi = self._bits[i]
         return bi & self._bits[j] == bi
-
-    def join_index(self, i: int, j: int) -> int:
-        """Smallest member containing both: members are sorted by order, so
-        the join is the lowest common member of their up-sets."""
-        both = self.up_sets[i] & self.up_sets[j]
-        if not both:
-            raise VerificationError(f"members {i} and {j} have no common upper member: "
-                                    "an up-list lost the full group")
-        return (both & -both).bit_length() - 1
 
     @property
     def words(self) -> np.ndarray:
@@ -181,20 +172,6 @@ class SubgroupLattice:
         """down_degrees[h] = number of lattice members inside H = |L(H)|."""
         self._ensure_containment()
         return self._down_degrees
-
-    @property
-    def up_sets(self) -> list[int]:
-        """For each member H, its up-list as a bitset over member indices,
-        packed on first use (m^2 bits in all, so not with the lists)."""
-        if self._up_sets is None:
-            mark = np.zeros(len(self), dtype=bool)
-            sets = []
-            for u in self.up_lists:
-                mark[u] = True
-                sets.append(_pack(mark))
-                mark[u] = False
-            self._up_sets = sets
-        return self._up_sets
 
     @property
     def mobius_top(self) -> tuple[int, ...]:
@@ -601,21 +578,44 @@ def f2_of_member(lat: SubgroupLattice, h: int) -> int:
     return sum(map(run, _pair_tasks(lat.orders[down], int(lat.orders[h]))))
 
 
+def _up_words(up_lists: list[np.ndarray]) -> np.ndarray:
+    """(m, ceil(m / 64)) uint64: bit k of row h is set iff member k contains h."""
+    m, cols = len(up_lists), np.concatenate(up_lists)
+    rows = np.repeat(np.arange(m), list(map(len, up_lists)))
+    out = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
+    np.bitwise_or.at(out, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+    return out.view(np.uint64)
+
+
+def _joins(up: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Joins of the members s..e with s..m (up: _up_words).  Members are sorted
+    by order, so a join is the lowest member in both up-sets, at index s or
+    above: the lowest bit of the first nonzero word of the AND from s // 64."""
+    first = s // 64
+    both = up[s:e, None, first:] & up[None, s:, first:]
+    k = (both != 0).argmax(axis=2)
+    word = np.take_along_axis(both, k[..., None], axis=2)[..., 0]
+    if not word.all():
+        i, j = np.argwhere(word == 0)[0].tolist()
+        raise VerificationError(f"members {s + i} and {s + j} have no common upper member: "
+                                "an up-list lost the full group")
+    return (first + k) * 64 + np.bitwise_count((word - np.uint64(1)) & ~word)
+
+
 def permuting_pairs(lat: SubgroupLattice) -> int:
     """Number of ordered pairs (H, K) with HK = KH, i.e. with the product
     set as large as the join: |H||K| == |<H, K>||H∩K|.  Comparable pairs
-    satisfy it with <H, K> and H∩K the two members themselves."""
-    m = len(lat)
-    bits = lat._bits
-    orders = lat.orders.tolist()
-    join = lat.join_index
-    count = m  # (H, H) always permutes
-    for i in range(m):
-        bi = bits[i]
-        oi = orders[i]
-        for j in range(i + 1, m):
-            if oi * orders[j] == orders[join(i, j)] * (bi & bits[j]).bit_count():
-                count += 2
+    satisfy it with <H, K> and H∩K the two members themselves.  A block of
+    about _JOIN_CELLS cells takes s..e against s..m (_joins), so a pair counts
+    twice right of the square s..e x s..e, which holds both of its orders."""
+    m, up, words, orders = len(lat), _up_words(lat.up_lists), lat.words, lat.orders
+    count = s = 0
+    while s < m:
+        e = min(m, s + max(1, _JOIN_CELLS // ((m - s) * max(up.shape[1] - s // 64, words.shape[1]))))
+        both = np.bitwise_count(words[s:e, None] & words[None, s:]).sum(axis=2, dtype=np.int64)
+        hit = orders[s:e, None] * orders[None, s:] == orders[_joins(up, s, e)] * both
+        count += np.count_nonzero(hit[:, :e - s]) + 2 * np.count_nonzero(hit[:, e - s:])
+        s = e
     return count
 
 

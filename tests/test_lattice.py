@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from facnum import lattice
-from facnum.errors import DomainError, ResourceLimitError
+from facnum.errors import DomainError, ResourceLimitError, VerificationError
 from facnum.formulas import (
     PartitionType,
     f2_elementary,
@@ -34,8 +34,10 @@ from facnum.groups import (
 from facnum.lattice import (
     Subgroup,
     SubgroupLattice,
+    _joins,
     _pair_hits,
     _popcount_dtype,
+    _up_words,
     enumerate_subgroups,
     f2_bruteforce,
     f2_of_member,
@@ -264,7 +266,7 @@ class TestEnumeration:
         assert all(lat.leq(h, full) for h in range(len(lat)))
         assert all(lat.leq(0, h) for h in range(len(lat)))
         assert meet_index(lat, full, 3) == 3
-        assert lat.join_index(0, 3) == 3
+        assert _joins(_up_words(lat.up_lists), 0, len(lat))[0, 3] == 3
 
 
 def discovery(G, **kwargs):
@@ -533,21 +535,13 @@ class TestJoins:
     def test_join_index_against_oracle(self, label, builder):
         # the join is the smallest-order member containing both
         lat = enumerate_subgroups(builder())
+        joins = _joins(_up_words(lat.up_lists), 0, len(lat))
         bits = [s.bits for s in lat.subgroups]
         for i in range(len(lat)):
             for j in range(len(lat)):
                 union = bits[i] | bits[j]
                 above = [k for k, b in enumerate(bits) if b & union == union]
-                assert lat.join_index(i, j) == min(above, key=lambda k: lat.subgroups[k].order)
-
-    def test_up_sets_built_on_first_join_only(self):
-        # m^2 bits: containment and pair counting must not pay for them
-        lat = enumerate_subgroups(dihedral8())
-        f2_bruteforce(lat)
-        mobius_to_top(lat)
-        assert lat._up_sets is None
-        lat.join_index(1, 2)
-        assert len(lat._up_sets) == len(lat)
+                assert joins[i, j] == min(above, key=lambda k: lat.subgroups[k].order)
 
 
 class TestMobius:
@@ -799,6 +793,36 @@ class TestSd:
         subs = (None if G.order <= SUBSET_ORACLE_MAX_ORDER
                 else [frozenset(s.indices()) for s in lat.subgroups])
         assert permuting_pairs(lat) == permuting_pairs_by_product_sets(G, subs)
+
+
+class TestPermutingPairsKernel:
+    """permuting_pairs in blocks of _JOIN_CELLS cells: with 1 or 3 cells a
+    block is one row, or a few rows at the end of a small lattice."""
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("label,builder", ORACLE_GROUPS)
+    def test_blocks_against_product_set_oracle(self, label, builder, cells, monkeypatch):
+        # Z2^4 has 67 members, so its last rows read from the second up-word
+        monkeypatch.setattr(lattice, "_JOIN_CELLS", cells)
+        G = builder()
+        assert permuting_pairs(enumerate_subgroups(G)) == permuting_pairs_by_product_sets(G)
+
+    @pytest.mark.parametrize("cells", [None, 3])
+    def test_lost_full_group_across_blocks(self, cells, monkeypatch):
+        # member 65 of Z2^4 (order 8, in the second up-word) loses the full
+        # group; the first member outside it then has no join with it, in
+        # one block or in the one-row blocks of 3 cells
+        if cells is not None:
+            monkeypatch.setattr(lattice, "_JOIN_CELLS", cells)
+        lat = enumerate_subgroups(elementary_abelian_group(2, 4))
+        up = list(lat.up_lists)
+        assert up[65].tolist() == [65, 66]
+        up[65] = up[65][:-1]
+        monkeypatch.setattr(SubgroupLattice, "up_lists", property(lambda self: up))
+        outside = next(h for h in range(len(lat)) if not lat.leq(h, 65))
+        with pytest.raises(VerificationError, match=f"members {outside} and 65 have no "
+                                                    "common upper member"):
+            permuting_pairs(lat)
 
 
 class TestVerifyInversion:
