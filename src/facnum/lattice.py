@@ -501,19 +501,16 @@ def mobius_from_bottom(lat: SubgroupLattice) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _pair_tasks(orders: np.ndarray, full_order: int):
-    classes: dict[int, np.ndarray] = {}
-    for o in np.unique(orders):
-        classes[int(o)] = np.nonzero(orders == o)[0]
-    values = sorted(classes)
+    classes = {int(o): np.nonzero(orders == o)[0] for o in np.unique(orders)}
+    values = list(classes)  # ascending
     for ai, da in enumerate(values):
         for db in values[ai:]:
             prod = da * db
             if prod < full_order or prod % full_order:
                 continue
             target = prod // full_order
-            if math.gcd(da, db) % target:
-                continue
-            yield classes[da], classes[db], target, da == db
+            if math.gcd(da, db) % target == 0:
+                yield classes[da], classes[db], target, da == db
 
 
 def _popcount_dtype(bits: int) -> np.dtype:
@@ -521,32 +518,39 @@ def _popcount_dtype(bits: int) -> np.dtype:
     return np.min_scalar_type(bits)
 
 
-def _pair_hits(words: np.ndarray, A: np.ndarray, B: np.ndarray, target: int):
-    """The one pair kernel: yields (s, hit) per row block, where hit[i, j]
-    says |A[s+i] ∩ B[j]| == target.  Words lie on the leading axis, so the
-    popcount sum adds whole contiguous (rows, |B|) slabs."""
+def _pair_counts(words: np.ndarray, A: np.ndarray, B: np.ndarray, same: bool,
+                 cells: int | None = None, up_width: int = 0):
+    """The one pair kernel: yields (s, e, counts) per row block of A, where
+    counts[i, j] = |A[s+i] ∩ B[lo+j]|, lo = s when same (B is A) and 0 if not:
+    a same-class block takes its square s..e x s..e and the columns after it.
+    A block has about `cells` (default _PAIR_CELLS) cells, each as wide as the
+    words or as the up_width words that _joins reads from word s // 64 on.
+    Words lie on the leading axis, so the popcount sum adds whole slabs."""
     wa = np.ascontiguousarray(words[A].T)
-    wb = np.ascontiguousarray(words[B].T)
-    nwords = wa.shape[0]
-    acc = _popcount_dtype(64 * nwords)
-    step = max(1, _PAIR_CELLS // (nwords * wb.shape[1]))
-    for s in range(0, wa.shape[1], step):
-        counts = np.bitwise_count(wa[:, s:s + step, None] & wb[:, None, :]).sum(axis=0, dtype=acc)
-        yield s, counts == target
+    wb = wa if same else np.ascontiguousarray(words[B].T)
+    acc, cells, s = _popcount_dtype(64 * len(wa)), cells or _PAIR_CELLS, 0
+    while s < len(A):
+        lo = s if same else 0
+        e = min(len(A), s + max(1, cells // ((len(B) - lo) * max(len(wa), up_width - s // 64))))
+        yield s, e, np.bitwise_count(wa[:, s:e, None] & wb[:, None, lo:]).sum(axis=0, dtype=acc)
+        s = e
 
 
 def _ordered_pairs(words: np.ndarray, task) -> int:
-    """Ordered factorization pairs of one task of _pair_tasks."""
+    """Ordered factorization pairs of one task of _pair_tasks: a hit counts
+    once inside a same-class square, which holds both orders, else twice."""
     A, B, target, same = task
-    count = sum(int(np.count_nonzero(hit)) for _, hit in _pair_hits(words, A, B, target))
-    return count if same else 2 * count
+    count = 0
+    for s, e, counts in _pair_counts(words, A, B, same):
+        hit = counts == target
+        count += 2 * np.count_nonzero(hit) - (np.count_nonzero(hit[:, :e - s]) if same else 0)
+    return int(count)
 
 
 def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:
     """Number of ordered pairs (H, K) of members with HK = G, decided by the
     exact criterion |H|*|K| == |G|*|H∩K|.  Pairs are grouped by the order
-    pair (|H|, |K|) with the necessary condition |H||K| >= |G| applied first.
-    """
+    pair (|H|, |K|) with the necessary condition |H||K| >= |G| applied first."""
     run = partial(_ordered_pairs, lat.words)
     tasks = list(_pair_tasks(lat.orders, lat.group.order))
     if threads and threads > 1 and len(tasks) > 1:
@@ -557,15 +561,15 @@ def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:
 
 def list_factorizations(lat: SubgroupLattice) -> list[tuple[int, int]]:
     """Every ordered factorization pair as (member index, member index),
-    sorted; its length equals f2_bruteforce."""
+    sorted; its length equals f2_bruteforce.  Each pair of _pair_counts is
+    mirrored, except inside a same-class square, which holds both orders."""
     pairs: list[tuple[int, int]] = []
     for A, B, target, same in _pair_tasks(lat.orders, lat.group.order):
-        for s, hit in _pair_hits(lat.words, A, B, target):
-            ii, jj = np.nonzero(hit)
-            i, j = A[s + ii].tolist(), B[jj].tolist()
-            pairs += zip(i, j)
-            if not same:
-                pairs += zip(j, i)
+        for s, e, counts in _pair_counts(lat.words, A, B, same):
+            ii, jj = np.nonzero(counts == target)
+            i, j = A[s + ii], B[jj + (s if same else 0)]
+            far = jj >= e - s if same else slice(None)
+            pairs += [*zip(i.tolist(), j.tolist()), *zip(j[far].tolist(), i[far].tolist())]
     pairs.sort()
     return pairs
 
@@ -604,19 +608,15 @@ def _joins(up: np.ndarray, s: int, e: int) -> np.ndarray:
 
 def permuting_pairs(lat: SubgroupLattice) -> int:
     """Number of ordered pairs (H, K) with HK = KH, i.e. with the product
-    set as large as the join: |H||K| == |<H, K>||H∩K|.  Comparable pairs
-    satisfy it with <H, K> and H∩K the two members themselves.  A block of
-    about _JOIN_CELLS cells takes s..e against s..m (_joins), so a pair counts
-    twice right of the square s..e x s..e, which holds both of its orders."""
-    m, up, words, orders = len(lat), _up_words(lat.up_lists), lat.words, lat.orders
-    count = s = 0
-    while s < m:
-        e = min(m, s + max(1, _JOIN_CELLS // ((m - s) * max(up.shape[1] - s // 64, words.shape[1]))))
-        both = np.bitwise_count(words[s:e, None] & words[None, s:]).sum(axis=2, dtype=np.int64)
+    set as large as the join: |H||K| == |<H, K>||H∩K|, as a comparable pair
+    is.  The members are one same-class task of _pair_counts, in blocks of
+    about _JOIN_CELLS cells as wide as the up-words that _joins reads."""
+    up, orders, members = _up_words(lat.up_lists), lat.orders, np.arange(len(lat))
+    count = 0
+    for s, e, both in _pair_counts(lat.words, members, members, True, _JOIN_CELLS, up.shape[1]):
         hit = orders[s:e, None] * orders[None, s:] == orders[_joins(up, s, e)] * both
-        count += np.count_nonzero(hit[:, :e - s]) + 2 * np.count_nonzero(hit[:, e - s:])
-        s = e
-    return count
+        count += 2 * np.count_nonzero(hit) - np.count_nonzero(hit[:, :e - s])
+    return int(count)
 
 
 def sd(lat: SubgroupLattice) -> Fraction:

@@ -35,7 +35,7 @@ from facnum.lattice import (
     Subgroup,
     SubgroupLattice,
     _joins,
-    _pair_hits,
+    _pair_counts,
     _popcount_dtype,
     _up_words,
     enumerate_subgroups,
@@ -700,7 +700,8 @@ WORD_BOUNDARY_GROUPS = [
 
 
 class TestPairKernel:
-    """f2_bruteforce, f2_of_member and list_factorizations share _pair_hits."""
+    """f2_bruteforce, f2_of_member, list_factorizations and permuting_pairs
+    share _pair_counts."""
 
     @pytest.mark.parametrize("cells", [None, 1, 3])
     @pytest.mark.parametrize("label,builder", WORD_BOUNDARY_GROUPS)
@@ -729,12 +730,33 @@ class TestPairKernel:
         lat = rank7
         B = np.flatnonzero(lat.orders == 16)
         A = B[:24]
-        blocks = list(_pair_hits(lat.words, A, B, 2))
-        assert [s for s, _ in blocks] == list(range(0, len(A), len(blocks[0][1])))
-        hit = np.concatenate([h for _, h in blocks])
+        blocks = list(_pair_counts(lat.words, A, B, False))
+        assert [s for s, _, _ in blocks] == list(range(0, len(A), len(blocks[0][2])))
+        hit = np.concatenate([counts == 2 for _, _, counts in blocks])
         sets = {h: frozenset(lat.subgroups[h].indices()) for h in B.tolist()}
         expected = [[len(sets[a] & sets[b]) == 2 for b in B.tolist()] for a in A.tolist()]
         assert hit.tolist() == expected
+
+    @pytest.mark.parametrize("cells", [None, 1, 3])
+    def test_same_class_blocks(self, rank7, cells, monkeypatch):
+        # a same-class task takes each block's square and the columns after
+        # it, so the blocks tile the class and row s starts at column s
+        if cells is not None:
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", cells)
+        A = np.flatnonzero(rank7.orders == 16)
+        blocks, ends = [], []
+        for s, e, counts in _pair_counts(rank7.words, A, A, True):
+            assert s == (ends[-1] if ends else 0) < e <= len(A)
+            assert counts.shape == (e - s, len(A) - s)
+            ends.append(e)
+            blocks[1:] = [(s, e, counts)]  # the first and the last
+        assert ends[-1] == len(A)
+        words = rank7.words[A]
+        for s, e, counts in blocks:
+            both = words[s:e, None] & words[None, s:]
+            assert np.array_equal(counts, np.bitwise_count(both).sum(axis=2))
+        if cells is not None:
+            assert len(ends) == len(A)  # one row per block
 
     def test_threads_1_against_4(self):
         lat = enumerate_subgroups(elementary_abelian_group(2, 6))
@@ -747,8 +769,8 @@ class TestPairKernel:
         nwords = (order + 63) // 64
         assert _popcount_dtype(64 * nwords) == dtype
         full = np.full((2, nwords), np.iinfo(np.uint64).max, dtype=np.uint64)
-        (s, hit), = _pair_hits(full, np.array([0]), np.array([1]), order)
-        assert s == 0 and hit.tolist() == [[True]]
+        (s, e, counts), = _pair_counts(full, np.array([0]), np.array([1]), False)
+        assert (s, e) == (0, 1) and (counts == order).tolist() == [[True]]
 
 
 class TestSd:
