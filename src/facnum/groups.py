@@ -586,16 +586,19 @@ def parse_cayley_table(text: str, *, label: str = "table",
 
 def load_cayley_table(source, *, max_order: int | None = None) -> FiniteGroup:
     """Load a Cayley table from a path, labelled by the file's stem, or from
-    a readable text/byte stream, labelled "table"."""
-    if hasattr(source, "read"):
-        raw = source.read()
+    a readable text/byte stream, labelled "table".  A source that cannot be
+    read, or that is not UTF-8 text, raises a ParseError naming it."""
+    stream = hasattr(source, "read")
+    where = "stream" if stream else f"file {str(source)!r}"
+    try:
+        raw = source.read() if stream else Path(source).read_text(encoding="utf-8")
         text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
-        name = "table"
-    else:
-        path = Path(source)
-        text = path.read_text(encoding="utf-8")
-        name = path.stem
-    return parse_cayley_table(text, label=name, max_order=max_order)
+    except OSError as exc:
+        raise ParseError(f"cannot read the table {where}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the table {where} is not UTF-8 text: {exc}") from exc
+    return parse_cayley_table(text, label="table" if stream else Path(source).stem,
+                              max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

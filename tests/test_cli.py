@@ -185,6 +185,27 @@ class TestF2Command:
         code, out, _ = run(capsys, "f2", f"table:{path}")
         assert code == 0 and "F2 = 41" in out
 
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "cannot read the table file '{path}': No such file or directory"),
+        ("directory", "cannot read the table file '{path}': Is a directory"),
+        ("utf16", "the table file '{path}' is not UTF-8 text: 'utf-8' codec can't decode "
+                  "byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_unreadable_table_exits_2(self, tmp_path, kind, reason):
+        # in a fresh process, so that an uncaught exception would show its
+        # traceback on stderr and exit 1
+        path = tmp_path / "missing.tbl"
+        if kind == "directory":
+            path = tmp_path
+        elif kind == "utf16":
+            path = tmp_path / "d8.tbl"
+            path.write_bytes(b"\xff\xfe" + dihedral8().to_table_text().encode("utf-16-le"))
+        proc = run_optimized(f"import sys; from facnum import cli; "
+                             f"sys.exit(cli.main(['f2', 'table:{path}']))")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"facnum: {reason.format(path=path)}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_out_of_range_in_last_row_exits_2_under_optimize(self, tmp_path):
         # the byte pass reads the first blocks and declines at the last row;
         # the per-row reader then names that row with checks python -O keeps
@@ -322,6 +343,11 @@ class TestF2Command:
 
 
 class TestSdCommand:
+    def test_unreadable_table_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sd", f"table:{tmp_path}")
+        assert (code, out) == (2, "")
+        assert err == f"facnum: cannot read the table file '{tmp_path}': Is a directory\n"
+
     def test_d8(self, capsys):
         code, out, _ = run(capsys, "sd", "named:D8")
         assert code == 0
@@ -444,6 +470,13 @@ class TestExploreCommand:
         code, _, err = run(capsys, "explore", "conjecture6", "--p", "5", "--n", str(n),
                            "--max-order", "4")
         assert code == 3 and "exceeds the safety cap 4" in err
+
+    def test_conjecture6_unreadable_table_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing.tbl"
+        code, out, err = run(capsys, "explore", "conjecture6", "--p", "2", "--n", "3",
+                             "--tables", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"facnum: cannot read the table file '{path}': No such file or directory\n"
 
     @pytest.mark.parametrize("what", ["theorem5", "conjecture6", "openproblem"])
     def test_closed_form_mismatch_exits_1_under_optimize(self, what):

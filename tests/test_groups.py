@@ -472,6 +472,13 @@ class TestCayleyTableIO:
         G = load_cayley_table(path)
         assert G.order == 8 and G.label == "q8"
 
+    def test_undecodable_stream_is_a_parse_error(self):
+        text = quaternion8().to_table_text()
+        with pytest.raises(ParseError, match="^the table stream is not UTF-8 text: 'utf-8' codec "
+                                             "can't decode byte 0xff in position 0"):
+            load_cayley_table(io.BytesIO(b"\xff\xfe" + text.encode("utf-16-le")))
+        assert load_cayley_table(io.BytesIO(text.encode())).order == 8
+
 
 def _table_text(rows, sep: str = " ", eol: str = "\n") -> str:
     return eol.join(sep.join(map(str, row)) for row in rows)
