@@ -35,6 +35,7 @@ from .formulas import (
 )
 from .groups import FiniteGroup, build_abelian, build_named, load_cayley_table
 from .lattice import (
+    MAX_LIST_PAIRS,
     enumerate_subgroups,
     f2_bruteforce,
     list_factorizations,
@@ -245,6 +246,9 @@ def _cmd_f2(args) -> int:
     lines = [f"group {G.label} (order {G.order})",
              f"F2 = {f2}", f"|L| = {len(lat)}"]
     if args.list:
+        if f2 > MAX_LIST_PAIRS:
+            raise ResourceLimitError(f"--list would print {f2} factorization pairs, "
+                                     f"more than the limit {MAX_LIST_PAIRS}")
         pairs = list_factorizations(lat)
         doc["pairs"] = [[i, j] for i, j in pairs]
         lines.append(f"{len(pairs)} factorization pairs (subgroup indices):")

@@ -39,6 +39,8 @@ from .groups import (FiniteGroup, _pack, _pth_powers, _right_cosets, _unpack,
 DEFAULT_MAX_SUBGROUPS = 100_000
 # unordered member pairs sd may take; permuting_pairs takes 0.15-0.35 us a pair
 MAX_SD_PAIRS = 10_000_000
+# factorization pairs f2 --list may print
+MAX_LIST_PAIRS = 10_000_000
 # members up to which verify_inversion computes sd(H) member by member on an
 # abelian lattice; above it, it takes sd(H) = 1
 SD_ABELIAN_CAP = 64

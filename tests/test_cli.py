@@ -179,6 +179,16 @@ class TestF2Command:
         assert len(doc["pairs"]) == 121
         assert doc["f2"] == "121" and doc["lattice_size"] == "19"
 
+    def test_list_cap(self, capsys, monkeypatch):
+        # E(27) has 121 factorization pairs
+        monkeypatch.setattr(cli, "MAX_LIST_PAIRS", 121)
+        code, out, _ = run(capsys, "f2", "named:E:p=3", "--list")
+        assert code == 0 and "121 factorization pairs" in out
+        monkeypatch.setattr(cli, "MAX_LIST_PAIRS", 120)
+        assert run(capsys, "f2", "named:E:p=3", "--list") == (
+            3, "", "facnum: resource limit: --list would print 121 factorization pairs, "
+                   "more than the limit 120\n")
+
     def test_table_spec(self, capsys, tmp_path):
         path = tmp_path / "d8.tbl"
         path.write_text(dihedral8().to_table_text())
