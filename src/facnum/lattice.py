@@ -1,10 +1,12 @@
 """Subgroup lattices: enumeration, Moebius values, factorization counting.
 
 Subgroups are bitsets over element indices (Python ints), mirrored into
-a numpy uint64 word matrix for pair counting, which is blocked by
-subgroup order: a product set satisfies |HK| = |H||K| / |H∩K| for any
-two subgroups, so HK = G is equivalent to |H|*|K| == |G|*|H∩K| and only
-the intersection popcount is ever materialized.
+a numpy uint64 word matrix.  Every pair count reads one blocked kernel
+(_pair_counts) of intersection popcounts: F2, each member's F2, the
+factorization list and sd's permuting pairs.  A product set satisfies
+|HK| = |H||K| / |H∩K| for any two subgroups, so HK = G is equivalent to
+|H|*|K| == |G|*|H∩K|, pairs are taken by order class, and only the
+intersection popcount is ever materialized.
 
 Enumeration is cyclic extension: a member is extended by normal index-p
 steps, one order class and prime at a time, which reaches every subgroup
@@ -37,7 +39,7 @@ from .groups import (FiniteGroup, _pack, _pth_powers, _right_cosets, _unpack,
                      is_elementary_abelian, prime_power, quotient)
 
 DEFAULT_MAX_SUBGROUPS = 100_000
-# unordered member pairs sd may take; permuting_pairs takes 0.15-0.35 us a pair
+# unordered member pairs sd may take; permuting_pairs takes 0.15-0.3 us a pair
 MAX_SD_PAIRS = 10_000_000
 # factorization pairs f2 --list may print
 MAX_LIST_PAIRS = 10_000_000
@@ -515,22 +517,18 @@ def _pair_tasks(orders: np.ndarray, full_order: int):
                 yield classes[da], classes[db], target, da == db
 
 
-def _popcount_dtype(bits: int) -> np.dtype:
-    """Smallest unsigned dtype that holds a popcount of up to `bits` bits."""
-    return np.min_scalar_type(bits)
-
-
 def _pair_counts(words: np.ndarray, A: np.ndarray, B: np.ndarray, same: bool,
                  cells: int | None = None, up_width: int = 0):
     """The one pair kernel: yields (s, e, counts) per row block of A, where
-    counts[i, j] = |A[s+i] ∩ B[lo+j]|, lo = s when same (B is A) and 0 if not:
-    a same-class block takes its square s..e x s..e and the columns after it.
+    counts[i, j] = |A[s+i] ∩ B[lo+j]|, lo = s when same (B is A) and 0 if not,
+    in the smallest unsigned dtype that holds a popcount of the words: a
+    same-class block takes its square s..e x s..e and the columns after it.
     A block has about `cells` (default _PAIR_CELLS) cells, each as wide as the
     words or as the up_width words that _joins reads from word s // 64 on.
     Words lie on the leading axis, so the popcount sum adds whole slabs."""
     wa = np.ascontiguousarray(words[A].T)
     wb = wa if same else np.ascontiguousarray(words[B].T)
-    acc, cells, s = _popcount_dtype(64 * len(wa)), cells or _PAIR_CELLS, 0
+    acc, cells, s = np.min_scalar_type(64 * len(wa)), cells or _PAIR_CELLS, 0
     while s < len(A):
         lo = s if same else 0
         e = min(len(A), s + max(1, cells // ((len(B) - lo) * max(len(wa), up_width - s // 64))))
@@ -569,9 +567,12 @@ def list_factorizations(lat: SubgroupLattice) -> list[tuple[int, int]]:
     for A, B, target, same in _pair_tasks(lat.orders, lat.group.order):
         for s, e, counts in _pair_counts(lat.words, A, B, same):
             ii, jj = np.nonzero(counts == target)
-            i, j = A[s + ii], B[jj + (s if same else 0)]
-            far = jj >= e - s if same else slice(None)
-            pairs += [*zip(i.tolist(), j.tolist()), *zip(j[far].tolist(), i[far].tolist())]
+            i, j = A[s + ii].tolist(), B[jj + (s if same else 0)].tolist()
+            pairs += zip(i, j)
+            if same:  # the hits right of the square, column by column, so they stay sorted
+                jj, ii = np.nonzero(counts[:, e - s:].T == target)
+                j, i = B[e + jj].tolist(), A[s + ii].tolist()
+            pairs += zip(j, i)
     pairs.sort()
     return pairs
 
