@@ -1,12 +1,10 @@
 """Subgroup lattices: enumeration, Moebius values, factorization counting.
 
 Subgroups are bitsets over element indices (Python ints), mirrored into
-a numpy uint64 word matrix.  Every pair count reads one blocked kernel
-(_pair_counts) of intersection popcounts: F2, each member's F2, the
-factorization list and sd's permuting pairs.  A product set satisfies
-|HK| = |H||K| / |H∩K| for any two subgroups, so HK = G is equivalent to
-|H|*|K| == |G|*|H∩K|, pairs are taken by order class, and only the
-intersection popcount is ever materialized.
+a numpy uint64 word matrix.  Every pair count (F2, member F2, the
+factorization list, sd's permuting pairs) reads one blocked kernel of
+intersection popcounts by order class, _pair_counts: |HK| = |H||K| / |H∩K|
+for any two subgroups, so HK = G iff |H|*|K| == |G|*|H∩K|.
 
 Enumeration is cyclic extension: a member is extended by normal index-p
 steps, one order class and prime at a time, which reaches every subgroup
@@ -505,27 +503,29 @@ def mobius_from_bottom(lat: SubgroupLattice) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _pair_tasks(orders: np.ndarray, full_order: int):
-    classes = {int(o): np.nonzero(orders == o)[0] for o in np.unique(orders)}
-    values = list(classes)  # ascending
+    classes: dict[int, np.ndarray] = {}
+    for o in np.unique(orders):
+        classes[int(o)] = np.nonzero(orders == o)[0]
+    values = sorted(classes)
     for ai, da in enumerate(values):
         for db in values[ai:]:
             prod = da * db
             if prod < full_order or prod % full_order:
                 continue
             target = prod // full_order
-            if math.gcd(da, db) % target == 0:
-                yield classes[da], classes[db], target, da == db
+            if math.gcd(da, db) % target:
+                continue
+            yield classes[da], classes[db], target, da == db
 
 
 def _pair_counts(words: np.ndarray, A: np.ndarray, B: np.ndarray, same: bool,
                  cells: int | None = None, up_width: int = 0):
-    """The one pair kernel: yields (s, e, counts) per row block of A, where
-    counts[i, j] = |A[s+i] ∩ B[lo+j]|, lo = s when same (B is A) and 0 if not,
-    in the smallest unsigned dtype that holds a popcount of the words: a
-    same-class block takes its square s..e x s..e and the columns after it.
-    A block has about `cells` (default _PAIR_CELLS) cells, each as wide as the
-    words or as the up_width words that _joins reads from word s // 64 on.
-    Words lie on the leading axis, so the popcount sum adds whole slabs."""
+    """The one pair kernel: yields (s, e, counts) per row block of A, with
+    counts[i, j] = |A[s+i] ∩ B[lo+j]| in the least dtype that holds it; lo = s
+    when same (B is A), so a block takes its square s..e x s..e, which holds
+    both orders of its pairs, and the columns after it.  A block has about
+    `cells` (_PAIR_CELLS) cells as wide as the words or the up_width words
+    _joins reads from word s // 64 on; words lead, so sums add whole slabs."""
     wa = np.ascontiguousarray(words[A].T)
     wb = wa if same else np.ascontiguousarray(words[B].T)
     acc, cells, s = np.min_scalar_type(64 * len(wa)), cells or _PAIR_CELLS, 0
@@ -537,8 +537,7 @@ def _pair_counts(words: np.ndarray, A: np.ndarray, B: np.ndarray, same: bool,
 
 
 def _ordered_pairs(words: np.ndarray, task) -> int:
-    """Ordered factorization pairs of one task of _pair_tasks: a hit counts
-    once inside a same-class square, which holds both orders, else twice."""
+    """Ordered factorization pairs of one task of _pair_tasks."""
     A, B, target, same = task
     count = 0
     for s, e, counts in _pair_counts(words, A, B, same):
@@ -550,7 +549,8 @@ def _ordered_pairs(words: np.ndarray, task) -> int:
 def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:
     """Number of ordered pairs (H, K) of members with HK = G, decided by the
     exact criterion |H|*|K| == |G|*|H∩K|.  Pairs are grouped by the order
-    pair (|H|, |K|) with the necessary condition |H||K| >= |G| applied first."""
+    pair (|H|, |K|) with the necessary condition |H||K| >= |G| applied first.
+    """
     run = partial(_ordered_pairs, lat.words)
     tasks = list(_pair_tasks(lat.orders, lat.group.order))
     if threads and threads > 1 and len(tasks) > 1:
@@ -561,15 +561,14 @@ def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:
 
 def list_factorizations(lat: SubgroupLattice) -> list[tuple[int, int]]:
     """Every ordered factorization pair as (member index, member index),
-    sorted; its length equals f2_bruteforce.  Each pair of _pair_counts is
-    mirrored, except inside a same-class square, which holds both orders."""
+    sorted; its length equals f2_bruteforce."""
     pairs: list[tuple[int, int]] = []
     for A, B, target, same in _pair_tasks(lat.orders, lat.group.order):
         for s, e, counts in _pair_counts(lat.words, A, B, same):
             ii, jj = np.nonzero(counts == target)
             i, j = A[s + ii].tolist(), B[jj + (s if same else 0)].tolist()
             pairs += zip(i, j)
-            if same:  # the hits right of the square, column by column, so they stay sorted
+            if same:  # mirror only right of the square, column by column to stay sorted
                 jj, ii = np.nonzero(counts[:, e - s:].T == target)
                 j, i = B[e + jj].tolist(), A[s + ii].tolist()
             pairs += zip(j, i)
