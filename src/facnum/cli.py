@@ -13,8 +13,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .errors import DomainError, FacnumError, ParseError, ResourceLimitError, VerificationError
@@ -55,7 +56,8 @@ EXIT_RESOURCE = 3
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parsed form of a group descriptor string.
+    """Parsed form of a group descriptor string: its canonical text and the
+    constructor of its group.  Two specs are equal iff their texts are.
 
     Grammar:  abelian:p=<P>,type=<a1,a2,...>
             | named:<family>[:p=<P>][:n=<N>]
@@ -66,12 +68,8 @@ class GroupSpec:
     refuses a missing or an undeclared one (groups.build_named).
     """
 
-    kind: str
-    ptype: PartitionType | None = None
-    name: str | None = None
-    p: int | None = None
-    n: int | None = None
-    path: str | None = None
+    text: str
+    make: Callable[..., FiniteGroup] = field(compare=False, repr=False)  # takes max_order=
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
@@ -91,52 +89,36 @@ class GroupSpec:
                     raise ParseError(f"unrecognized abelian field {part!r}")
             if p is None or alphas is None:
                 raise ParseError("abelian spec needs p=<prime> and type=<a1,a2,...>")
-            return GroupSpec("abelian", ptype=PartitionType(p, alphas))
+            t = PartitionType(p, alphas)
+            return GroupSpec(f"abelian:p={t.p},type={','.join(map(str, t.alphas))}",
+                             functools.partial(build_abelian, t))
         if text.startswith("named:"):
             parts = text.split(":")[1:]
             if not parts or not parts[0]:
                 raise ParseError("named spec needs a family name")
             name = parts[0]
-            p = n = None
+            params = {"p": None, "n": None}
             for part in parts[1:]:
-                if part.startswith("p="):
-                    p = _parse_int(part[2:], "p")
-                elif part.startswith("n="):
-                    n = _parse_int(part[2:], "n")
-                else:
+                key, sep, value = part.partition("=")
+                if key not in params or not sep:
                     raise ParseError(f"unrecognized named field {part!r}")
-            return GroupSpec("named", name=name, p=p, n=n)
+                params[key] = _parse_int(value, key)
+            canonical = "".join(f":{k}={v}" for k, v in params.items() if v is not None)
+            return GroupSpec(f"named:{name}{canonical}",
+                             functools.partial(build_named, name, *params.values()))
         if text.startswith("table:"):
             path = text[len("table:"):]
             if not path:
                 raise ParseError("table spec needs a file path")
-            return GroupSpec("table", path=path)
+            return GroupSpec(text, functools.partial(load_cayley_table, path))
         raise ParseError(f"cannot parse group spec {text!r} "
                          "(expected abelian:..., named:... or table:...)")
 
     def canonical(self) -> str:
-        if self.kind == "abelian":
-            assert self.ptype is not None
-            alphas = ",".join(str(a) for a in self.ptype.alphas)
-            return f"abelian:p={self.ptype.p},type={alphas}"
-        if self.kind == "named":
-            out = f"named:{self.name}"
-            if self.p is not None:
-                out += f":p={self.p}"
-            if self.n is not None:
-                out += f":n={self.n}"
-            return out
-        return f"table:{self.path}"
+        return self.text
 
     def build(self, max_order: int | None = None) -> FiniteGroup:
-        if self.kind == "abelian":
-            assert self.ptype is not None
-            return build_abelian(self.ptype, max_order=max_order)
-        if self.kind == "named":
-            assert self.name is not None
-            return build_named(self.name, self.p, self.n, max_order=max_order)
-        assert self.path is not None
-        return load_cayley_table(self.path, max_order=max_order)
+        return self.make(max_order=max_order)
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -250,12 +232,12 @@ def _cmd_f2(args) -> int:
             raise ResourceLimitError(f"--list would print {f2} factorization pairs, "
                                      f"more than the limit {MAX_LIST_PAIRS}")
         pairs = list_factorizations(lat)
-        doc["pairs"] = [[i, j] for i, j in pairs]
-        lines.append(f"{len(pairs)} factorization pairs (subgroup indices):")
-        lines.extend(
-            f"  ({i}, {j})  orders ({lat.subgroups[i].order}, {lat.subgroups[j].order})"
-            for i, j in pairs
-        )
+        if args.format == "json":  # csv lists no pairs
+            doc["pairs"] = pairs  # tuples dump as arrays
+        elif args.format == "table":
+            orders = lat.orders.tolist()
+            lines.append(f"{len(pairs)} factorization pairs (subgroup indices):")
+            lines.extend(f"  ({i}, {j})  orders ({orders[i]}, {orders[j]})" for i, j in pairs)
     if inv is not None:
         doc["verify"] = {"checks": inv.checks, "report": inv.to_dict(), "passed": inv.passed}
         lines.extend(f"verify {name}: {state}" for name, state in inv.checks.items())

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
-from .errors import DomainError, ValidationError, VerificationError
+from .errors import DomainError, VerificationError
 from .formulas import (
     PartitionType,
+    _require_prime,
     f2_cyclic,
     f2_elementary,
     f2_heisenberg_p3,
     f2_modular_p3,
     f2_rank2,
-    is_prime,
 )
 from .groups import (
     FiniteGroup,
@@ -92,54 +93,49 @@ class CatalogEntry:
     label: str
     source: str  # "builtin" or a file path
     order: int
-    build: Callable[[], FiniteGroup]
+    build: Callable[..., FiniteGroup]  # called with the run's max_order= by _sweep
     closed_form: int | None = None  # F2 by a closed form, checked by _sweep
 
 
-def _abelian_entry(p: int, alphas: tuple[int, ...], *, label: str | None = None,
-                   max_order: int | None = None) -> CatalogEntry:
+def _abelian_entry(p: int, alphas: tuple[int, ...], *, label: str | None = None) -> CatalogEntry:
     """The abelian group of type alphas, with the closed form of its family
     (cyclic, rank 2 or elementary) if it has one."""
     t = PartitionType(p, alphas)
     closed = (f2_cyclic(*alphas) if t.rank == 1 else f2_rank2(p, *alphas) if t.rank == 2
               else f2_elementary(t.rank, p) if set(alphas) == {1} else None)
     label = label or t.label()
-    return CatalogEntry(label, "builtin", t.order,
-                        lambda: build_abelian(t, label=label, max_order=max_order), closed)
+    return CatalogEntry(label, "builtin", t.order, partial(build_abelian, t, label=label), closed)
 
 
-def theorem5_catalog(p: int, n: int, *, max_order: int | None = None) -> list[CatalogEntry]:
+def theorem5_catalog(p: int, n: int) -> list[CatalogEntry]:
     """The classified groups of order p^2 and p^3."""
-    if not is_prime(p):
-        raise ValidationError(f"p must be a prime, got {p!r}")
+    _require_prime(p)
     if n not in (2, 3):
         raise DomainError("the order-p^n classification is built in for n in {2, 3} only, "
                           f"got n={n}")
     q = p**n
-
-    def builtin(label, build, *args, closed=None):  # built under the run's order cap
-        return CatalogEntry(label, "builtin", q, lambda: build(*args, max_order=max_order),
-                            closed)
-
-    entries = [_abelian_entry(p, (1,) * n, label=f"Z{p}^{n}", max_order=max_order),
-               _abelian_entry(p, (n,), label=f"Z{q}", max_order=max_order)]
+    entries = [_abelian_entry(p, (1,) * n, label=f"Z{p}^{n}"),
+               _abelian_entry(p, (n,), label=f"Z{q}")]
     if n == 3:
-        entries.insert(1, _abelian_entry(p, (1, 2), max_order=max_order))  # Z_p x Z_p^2
+        entries.insert(1, _abelian_entry(p, (1, 2)))  # Z_p x Z_p^2
         if p == 2:
-            entries += [builtin("D8", dihedral8), builtin("Q8", quaternion8)]
+            entries += [CatalogEntry("D8", "builtin", q, dihedral8),
+                        CatalogEntry("Q8", "builtin", q, quaternion8)]
         else:
-            entries += [builtin(f"M({q})", modular_p3, p, closed=f2_modular_p3(p)),
-                        builtin(f"E({q})", heisenberg_p3, p, closed=f2_heisenberg_p3(p))]
+            entries += [CatalogEntry(f"M({q})", "builtin", q, partial(modular_p3, p),
+                                     f2_modular_p3(p)),
+                        CatalogEntry(f"E({q})", "builtin", q, partial(heisenberg_p3, p),
+                                     f2_heisenberg_p3(p))]
     return entries
 
 
-def _sweep(entries: Sequence[CatalogEntry], threads: int | None,
+def _sweep(entries: Sequence[CatalogEntry], threads: int | None, max_order: int | None,
            max_subgroups: int | None) -> list[tuple[CatalogEntry, int, int]]:
-    """(entry, |L|, F2) for each entry, by brute force.  An entry's closed
-    form, if it has one, must agree."""
+    """(entry, |L|, F2) for each entry, by brute force, each group built under
+    the run's order cap.  An entry's closed form, if it has one, must agree."""
     out = []
     for entry in entries:
-        lat = enumerate_subgroups(entry.build(), max_subgroups=max_subgroups)
+        lat = enumerate_subgroups(entry.build(max_order=max_order), max_subgroups=max_subgroups)
         f2 = f2_bruteforce(lat, threads=threads)
         if entry.closed_form is not None and entry.closed_form != f2:
             raise VerificationError(f"closed form {entry.closed_form} disagrees with "
@@ -195,8 +191,8 @@ def check_theorem5(p: int, n: int, *, threads: int | None = None,
     """Brute-force F2 over the full catalog of groups of order p^n (n = 2, 3)
     and check the extremes: strict maximum at the elementary abelian group,
     minimum 2n + 1 at the cyclic group."""
-    entries = theorem5_catalog(p, n, max_order=max_order)
-    swept = _sweep(entries, threads, max_subgroups)
+    entries = theorem5_catalog(p, n)
+    swept = _sweep(entries, threads, max_order, max_subgroups)
     rows = [{"label": e.label, "source": e.source, "order": e.order,
              "lattice_size": str(size), "f2": str(f2)} for e, size, f2 in swept]
     values = {e.label: f2 for e, _, f2 in swept}
@@ -277,24 +273,23 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
     The report is explicit about coverage: for n >= 4 the non-abelian
     isomorphism types are NOT enumerated.
     """
-    if not is_prime(p):
-        raise ValidationError(f"p must be a prime, got {p!r}")
+    _require_prime(p)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     bound = f2_elementary(n, p)
     if n in (2, 3):
-        entries = theorem5_catalog(p, n, max_order=max_order)
+        entries = theorem5_catalog(p, n)
     else:
-        entries = [_abelian_entry(p, pf.nondecreasing, max_order=max_order)
-                   for pf in partitions(n)]
+        entries = [_abelian_entry(p, pf.nondecreasing) for pf in partitions(n)]
     order = p**n
     for path in extra_tables:
         G = load_cayley_table(path, max_order=max_order)
         if G.order != order:
             raise DomainError(f"{path}: table has order {G.order}, expected p^n = {order}")
-        entries.append(CatalogEntry(G.label, str(path), order, lambda G=G: G))
+        entries.append(CatalogEntry(G.label, str(path), order, lambda max_order, G=G: G))
     rows = [{"label": e.label, "source": e.source, "order": e.order, "f2": str(f2),
-             "within_bound": f2 <= bound} for e, _, f2 in _sweep(entries, threads, max_subgroups)]
+             "within_bound": f2 <= bound}
+            for e, _, f2 in _sweep(entries, threads, max_order, max_subgroups)]
     counterexamples = [f"{r['label']} has F2 = {r['f2']} > {bound}"
                        for r in rows if not r["within_bound"]]
     complete = n <= 3
@@ -368,10 +363,9 @@ def open_problem_table(p: int, n: int, *, threads: int | None = None,
     """Brute-force F2 for every abelian type of order p^n and test whether
     F2 is monotone along the lexicographic order on partitions, under both
     writing conventions."""
-    if not is_prime(p):
-        raise ValidationError(f"p must be a prime, got {p!r}")
+    _require_prime(p)
     forms = partitions(n)
-    entries = [_abelian_entry(p, pf.nondecreasing, max_order=max_order) for pf in forms]
+    entries = [_abelian_entry(p, pf.nondecreasing) for pf in forms]
     rows = [{
         "nondecreasing": list(pf.nondecreasing),
         "nonincreasing": list(pf.nonincreasing),
@@ -379,7 +373,7 @@ def open_problem_table(p: int, n: int, *, threads: int | None = None,
         "lattice_size": str(size),
         "f2": str(f2),
         "closed_form": None if e.closed_form is None else str(e.closed_form),
-    } for pf, (e, size, f2) in zip(forms, _sweep(entries, threads, max_subgroups))]
+    } for pf, (e, size, f2) in zip(forms, _sweep(entries, threads, max_order, max_subgroups))]
 
     verdicts: dict[str, dict] = {}
     for name, key in (("nondecreasing_lex", "nondecreasing"),

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError, ResourceLimitError, ValidationError, VerificationError
-from .formulas import PartitionType, is_prime
+from .formulas import PartitionType, _require_prime
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "FACNUM_MAX_ORDER"
@@ -365,8 +365,7 @@ def modular_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     """M(p^3) = <x, y | x^(p^2) = y^p = 1, y^-1 x y = x^(p+1)>, p odd,
     realized as x^a y^b at index a + p^2*b.  Since (1+p)(1-p) = 1 mod p^2,
     y x y^-1 = x^(1-p)."""
-    if not is_prime(p):
-        raise ValidationError(f"p must be a prime, got {p!r}")
+    _require_prime(p)
     if p == 2:
         raise DomainError(
             "M(p^3) requires an odd prime: at p=2 the presentation collapses "
@@ -397,8 +396,7 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     Extraspecial of exponent p: every non-identity element has order p and
     the commutator [x, y] is central of order p.
     """
-    if not is_prime(p):
-        raise ValidationError(f"p must be a prime, got {p!r}")
+    _require_prime(p)
     if p == 2:
         raise DomainError(
             "E(p^3) requires an odd prime: at p=2 the exponent-p extraspecial "

@@ -11,7 +11,7 @@ import pytest
 
 from facnum import cli, explore, lattice
 from facnum.cli import GroupSpec, main
-from facnum.errors import ParseError
+from facnum.errors import ParseError, ResourceLimitError
 from facnum.groups import dihedral8, elementary_abelian_group, permute_elements
 
 from helpers import permutation_group
@@ -48,6 +48,27 @@ class TestGroupSpec:
     def test_build(self):
         assert GroupSpec.parse("abelian:p=2,type=1,2").build().order == 8
         assert GroupSpec.parse("named:Q8").build().label == "Q8"
+
+    @pytest.mark.parametrize("kind", ["abelian:p=2,type=1,2", "named:Cyclic:p=2:n=3", "table:"])
+    def test_build_takes_the_order_cap(self, tmp_path, kind):
+        path = tmp_path / "d8.tbl"
+        path.write_text(dihedral8().to_table_text())
+        spec = GroupSpec.parse(kind + (str(path) if kind == "table:" else ""))
+        assert spec.build().order == 8
+        with pytest.raises(ResourceLimitError, match="exceeds the safety cap 4"):
+            spec.build(max_order=4)
+        with pytest.raises(ResourceLimitError, match="exceeds the safety cap 4"):
+            spec.build(4)
+
+    def test_canonical_text_drops_spaces(self):
+        assert GroupSpec.parse("abelian:p=2, type=1, 2").canonical() == "abelian:p=2,type=1,2"
+
+    @pytest.mark.parametrize("text", ["abelian:p=2, type=1, 2", "named:Cyclic:n=3:p=2",
+                                      "table:/tmp/x.tbl"])
+    def test_equal_by_text(self, text):
+        a, b = GroupSpec.parse(text), GroupSpec.parse(text)
+        assert a == b and hash(a) == hash(b)
+        assert a == GroupSpec.parse(a.canonical())
 
     @pytest.mark.parametrize("bad", [
         "abelian:type=1,2",
@@ -188,6 +209,12 @@ class TestF2Command:
         assert run(capsys, "f2", "named:E:p=3", "--list") == (
             3, "", "facnum: resource limit: --list would print 121 factorization pairs, "
                    "more than the limit 120\n")
+
+    @pytest.mark.parametrize("spec", ["named:E:p=3", "abelian:p=2,type=1,2"])
+    def test_list_csv_prints_no_pairs(self, capsys, spec):
+        csv = run(capsys, "f2", spec, "--format", "csv")
+        assert csv[0] == 0
+        assert run(capsys, "f2", spec, "--list", "--format", "csv") == csv
 
     def test_table_spec(self, capsys, tmp_path):
         path = tmp_path / "d8.tbl"
@@ -543,6 +570,22 @@ class TestExploreCommand:
         code, _, err = run(capsys, "explore", "conjecture6", "--p", "2", "--n", "4",
                            "--tables", str(path))
         assert code == 2 and "d8.tbl" in err
+
+    def test_wrong_order_table_refused_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "d8.tbl"
+        path.write_text(dihedral8().to_table_text())
+        swept = []
+        monkeypatch.setattr(explore, "enumerate_subgroups",
+                            lambda G, **kw: swept.append(G.label))
+        assert run(capsys, "explore", "conjecture6", "--p", "2", "--n", "3",
+                   "--tables", str(path), str(path), str(tmp_path / "z5.tbl")) == (
+            2, "", f"facnum: cannot read the table file '{tmp_path / 'z5.tbl'}': "
+                   "No such file or directory\n")
+        assert swept == []
+        code, _, err = run(capsys, "explore", "conjecture6", "--p", "2", "--n", "4",
+                           "--tables", str(path))
+        assert code == 2 and err == f"facnum: {path}: table has order 8, expected p^n = 16\n"
+        assert swept == []
 
 
 class TestOutputContracts:
