@@ -20,21 +20,9 @@ from typing import Callable
 from . import __version__
 from .errors import DomainError, FacnumError, ParseError, ResourceLimitError, VerificationError
 from .explore import check_conjecture6, check_theorem5, open_problem_table
-from .formulas import (
-    PartitionType,
-    f2_corollary4,
-    f2_corollary4_poly,
-    f2_cyclic,
-    f2_elementary,
-    f2_elementary_poly,
-    f2_heisenberg_p3,
-    f2_heisenberg_p3_poly,
-    f2_modular_p3,
-    f2_modular_p3_poly,
-    f2_rank2,
-    f2_rank2_poly,
-)
-from .groups import FiniteGroup, build_abelian, build_named, load_cayley_table
+from .formulas import PartitionType
+from .groups import (FAMILIES, FiniteGroup, abelian_closed_form, build_abelian, build_named,
+                     load_cayley_table, named_family)
 from .lattice import (
     MAX_LIST_PAIRS,
     enumerate_subgroups,
@@ -56,42 +44,45 @@ EXIT_RESOURCE = 3
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parsed form of a group descriptor string: its canonical text and the
-    constructor of its group.  Two specs are equal iff their texts are.
+    """Parsed form of a group descriptor string: its canonical text, the
+    constructor of its group and, lazily, F2 by the closed form of its family
+    (None without one, as for a table).  Two specs are equal iff their texts are.
 
     Grammar:  abelian:p=<P>,type=<a1,a2,...>
             | named:<family>[:p=<P>][:n=<N>]
             | table:<path>
 
-    A named family takes exactly the parameters it declares: Cyclic and
-    Elem take p and n, M and E take p, D8 and Q8 take none.  build()
-    refuses a missing or an undeclared one (groups.build_named).
+    A field is given once.  A named family takes exactly the parameters it
+    declares in groups.FAMILIES (Cyclic and Elem p and n, M and E p, D8 and
+    Q8 none); build() refuses a missing or an undeclared one.
     """
 
     text: str
     make: Callable[..., FiniteGroup] = field(compare=False, repr=False)  # takes max_order=
+    closed: Callable[[], int | None] = field(default=lambda: None, compare=False, repr=False)
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
         if text.startswith("abelian:"):
             body = text[len("abelian:"):]
-            p = None
-            alphas: tuple[int, ...] | None = None
+            fields: dict[str, tuple[int, ...]] = {}
             for part in body.split(","):
                 part = part.strip()
-                if part.startswith("p="):
-                    p = _parse_int(part[2:], "p")
-                elif part.startswith("type="):
-                    alphas = (_parse_int(part[5:], "type"),)
-                elif alphas is not None:
-                    alphas = alphas + (_parse_int(part, "type"),)
+                key, sep, value = part.partition("=")
+                if sep and key in ("p", "type"):
+                    if key in fields:
+                        raise ParseError(f"repeated abelian field {key!r}")
+                    fields[key] = (_parse_int(value, key),)
+                elif "type" in fields:  # a further exponent of the type
+                    fields["type"] += (_parse_int(part, "type"),)
                 else:
                     raise ParseError(f"unrecognized abelian field {part!r}")
-            if p is None or alphas is None:
+            if fields.keys() != {"p", "type"}:
                 raise ParseError("abelian spec needs p=<prime> and type=<a1,a2,...>")
-            t = PartitionType(p, alphas)
+            t = PartitionType(fields["p"][0], fields["type"])
             return GroupSpec(f"abelian:p={t.p},type={','.join(map(str, t.alphas))}",
-                             functools.partial(build_abelian, t))
+                             functools.partial(build_abelian, t),
+                             functools.partial(abelian_closed_form, t))
         if text.startswith("named:"):
             parts = text.split(":")[1:]
             if not parts or not parts[0]:
@@ -102,10 +93,13 @@ class GroupSpec:
                 key, sep, value = part.partition("=")
                 if key not in params or not sep:
                     raise ParseError(f"unrecognized named field {part!r}")
+                if params[key] is not None:
+                    raise ParseError(f"repeated named field {key!r}")
                 params[key] = _parse_int(value, key)
             canonical = "".join(f":{k}={v}" for k, v in params.items() if v is not None)
             return GroupSpec(f"named:{name}{canonical}",
-                             functools.partial(build_named, name, *params.values()))
+                             functools.partial(build_named, name, *params.values()),
+                             lambda: named_family(name, *params.values())[1]())
         if text.startswith("table:"):
             path = text[len("table:"):]
             if not path:
@@ -160,27 +154,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-# family -> (declared parameters, value fn of (p, *params), poly fn of params);
-# `formula <family>` takes each declared parameter as a required --<name>, and
-# --p and --poly only when the family has a poly fn
-_FORMULAS = {
-    "elementary": (("n",), lambda p, n: f2_elementary(n, p), f2_elementary_poly),
-    "rank2": (("a1", "a2"), f2_rank2, f2_rank2_poly),
-    "corollary4": (("n",), f2_corollary4, f2_corollary4_poly),
-    "cyclic": (("n",), f2_cyclic, None),
-    "Mp3": ((), f2_modular_p3, f2_modular_p3_poly),
-    "Ep3": ((), f2_heisenberg_p3, f2_heisenberg_p3_poly),
-}
-
-
 def _cmd_formula(args) -> int:
-    family = args.family
-    required, value_fn, poly_fn = _FORMULAS[family]
+    """`formula <family>` takes each parameter of its FAMILIES row after p as
+    a required --<name>, and --p and --poly only when the row has a polynomial."""
+    _, family, declared, _, value_fn, poly_fn = args.row
+    required = declared[1:]
     values = [getattr(args, name) for name in required]
     params = dict(zip(required, values))
     value = poly = None
     if poly_fn is None:
-        value = value_fn(*values)
+        value = value_fn(None, *values)  # F2 without a polynomial does not depend on p
     else:
         if args.poly:
             poly = poly_fn(*values)
@@ -239,6 +222,10 @@ def _cmd_f2(args) -> int:
             lines.append(f"{len(pairs)} factorization pairs (subgroup indices):")
             lines.extend(f"  ({i}, {j})  orders ({orders[i]}, {orders[j]})" for i, j in pairs)
     if inv is not None:
+        closed = spec.closed()
+        if closed is not None:
+            inv.check("closed_form", closed == inv.f2,
+                      f"closed form {closed} disagrees with brute force {inv.f2} for {G.label}")
         doc["verify"] = {"checks": inv.checks, "report": inv.to_dict(), "passed": inv.passed}
         lines.extend(f"verify {name}: {state}" for name, state in inv.checks.items())
     csv_rows = [["label", "order", "f2", "lattice_size"],
@@ -306,23 +293,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_formula = sub.add_parser("formula", help="evaluate a closed form")
     families = p_formula.add_subparsers(dest="family", required=True)
-    for family, (required, _, poly_fn) in _FORMULAS.items():
+    for row in FAMILIES:
+        _, family, declared, _, _, poly_fn = row
+        if family is None:
+            continue
         p_family = families.add_parser(family)
-        for name in required:
+        for name in declared[1:]:
             p_family.add_argument(f"--{name}", type=int, required=True)
         if poly_fn is not None:
             p_family.add_argument("--p", type=int, default=None)
             p_family.add_argument("--poly", action="store_true",
                                   help="also print the symbolic polynomial in p")
         _add_format(p_family)
-        p_family.set_defaults(func=_cmd_formula, leaf=p_family)
+        p_family.set_defaults(func=_cmd_formula, leaf=p_family, row=row)
 
     p_f2 = sub.add_parser("f2", help="brute-force F2 over the subgroup lattice")
     p_f2.add_argument("spec", help="abelian:p=2,type=1,2 | named:Q8 | table:path")
     p_f2.add_argument("--list", action="store_true",
                       help="list every factorization pair")
     p_f2.add_argument("--verify", action="store_true",
-                      help="also verify the inversion identities and Hall's formula")
+                      help="also verify the inversion identities, Hall's formula and the closed form")
     _add_common(p_f2)
     p_f2.set_defaults(func=_cmd_f2, leaf=p_f2)
 

@@ -10,9 +10,9 @@ standard nonincreasing notation) because the monotonicity verdict
 genuinely depends on the choice.
 
 All three run one sweep, `_sweep`, over catalog entries.  Every entry
-whose family has a closed form (cyclic, rank-2 and elementary abelian
-types, M(p^3), E(p^3)) carries it, and the sweep cross-checks it against
-brute force on every row: a disagreement raises `VerificationError`.
+whose family has a closed form in `groups.FAMILIES` carries it, and the
+sweep cross-checks it against brute force on every row: a disagreement
+raises `VerificationError`.
 """
 
 from __future__ import annotations
@@ -23,24 +23,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .errors import DomainError, VerificationError
-from .formulas import (
-    PartitionType,
-    _require_prime,
-    f2_cyclic,
-    f2_elementary,
-    f2_heisenberg_p3,
-    f2_modular_p3,
-    f2_rank2,
-)
-from .groups import (
-    FiniteGroup,
-    build_abelian,
-    dihedral8,
-    heisenberg_p3,
-    load_cayley_table,
-    modular_p3,
-    quaternion8,
-)
+from .formulas import PartitionType, _require_prime
+from .groups import FiniteGroup, abelian_closed_form, build_abelian, load_cayley_table, named_family
 from .lattice import enumerate_subgroups, f2_bruteforce
 
 
@@ -99,12 +83,11 @@ class CatalogEntry:
 
 def _abelian_entry(p: int, alphas: tuple[int, ...], *, label: str | None = None) -> CatalogEntry:
     """The abelian group of type alphas, with the closed form of its family
-    (cyclic, rank 2 or elementary) if it has one."""
+    if it has one."""
     t = PartitionType(p, alphas)
-    closed = (f2_cyclic(*alphas) if t.rank == 1 else f2_rank2(p, *alphas) if t.rank == 2
-              else f2_elementary(t.rank, p) if set(alphas) == {1} else None)
     label = label or t.label()
-    return CatalogEntry(label, "builtin", t.order, partial(build_abelian, t, label=label), closed)
+    return CatalogEntry(label, "builtin", t.order, partial(build_abelian, t, label=label),
+                        abelian_closed_form(t))
 
 
 def theorem5_catalog(p: int, n: int) -> list[CatalogEntry]:
@@ -118,14 +101,10 @@ def theorem5_catalog(p: int, n: int) -> list[CatalogEntry]:
                _abelian_entry(p, (n,), label=f"Z{q}")]
     if n == 3:
         entries.insert(1, _abelian_entry(p, (1, 2)))  # Z_p x Z_p^2
-        if p == 2:
-            entries += [CatalogEntry("D8", "builtin", q, dihedral8),
-                        CatalogEntry("Q8", "builtin", q, quaternion8)]
-        else:
-            entries += [CatalogEntry(f"M({q})", "builtin", q, partial(modular_p3, p),
-                                     f2_modular_p3(p)),
-                        CatalogEntry(f"E({q})", "builtin", q, partial(heisenberg_p3, p),
-                                     f2_heisenberg_p3(p))]
+        for name in ("D8", "Q8") if p == 2 else ("M", "E"):
+            build, closed = named_family(name, p if p > 2 else None)
+            entries.append(CatalogEntry(name if p == 2 else f"{name}({q})", "builtin", q,
+                                        build, closed()))
     return entries
 
 
@@ -276,7 +255,7 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
     _require_prime(p)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    bound = f2_elementary(n, p)
+    bound = named_family("Elem", p, n)[1]()
     if n in (2, 3):
         entries = theorem5_catalog(p, n)
     else:

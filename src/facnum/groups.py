@@ -46,12 +46,15 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ParseError, ResourceLimitError, ValidationError, VerificationError
-from .formulas import PartitionType, _require_prime
+from .formulas import (PartitionType, _require_prime, f2_corollary4, f2_corollary4_poly, f2_cyclic,
+                       f2_elementary, f2_elementary_poly, f2_heisenberg_p3, f2_heisenberg_p3_poly,
+                       f2_modular_p3, f2_modular_p3_poly, f2_rank2, f2_rank2_poly)
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "FACNUM_MAX_ORDER"
@@ -413,26 +416,36 @@ def heisenberg_p3(p: int, *, max_order: int | None = None) -> FiniteGroup:
     return G
 
 
-# family -> (declared parameters, all required, and a constructor taking them
-# and max_order)
-_NAMED_FAMILIES = {
-    "Cyclic": (("p", "n"), cyclic_group),
-    "Elem": (("p", "n"), elementary_abelian_group),
-    "D8": ((), dihedral8),
-    "Q8": ((), quaternion8),
-    "M": (("p",), modular_p3),
-    "E": (("p",), heisenberg_p3),
-}
+# One row per family: its named: key and its `formula` name (None where it has
+# none), its declared parameters (p first), its constructor, which takes them
+# and max_order, and F2 as a function of them and as a polynomial in p of the
+# ones after p (None where no closed form is known).  Specs, `formula`, the
+# explore catalogs and `f2 --verify` all read a family's forms from its row.
+FAMILIES = (
+    ("Cyclic", "cyclic", ("p", "n"), cyclic_group, lambda p, n: f2_cyclic(n), None),
+    ("Elem", "elementary", ("p", "n"), elementary_abelian_group,
+     lambda p, n: f2_elementary(n, p), f2_elementary_poly),
+    (None, "rank2", ("p", "a1", "a2"), lambda p, a1, a2, **kw: build_abelian(
+        PartitionType(p, (a1, a2)), **kw), f2_rank2, f2_rank2_poly),
+    (None, "corollary4", ("p", "n"), lambda p, n, **kw: build_abelian(
+        PartitionType(p, (1, n)), **kw), f2_corollary4, f2_corollary4_poly),
+    ("D8", None, (), dihedral8, None, None),
+    ("Q8", None, (), quaternion8, None, None),
+    ("M", "Mp3", ("p",), modular_p3, f2_modular_p3, f2_modular_p3_poly),
+    ("E", "Ep3", ("p",), heisenberg_p3, f2_heisenberg_p3, f2_heisenberg_p3_poly),
+)
 
 
-def build_named(name: str, p: int | None = None, n: int | None = None, *,
-                max_order: int | None = None) -> FiniteGroup:
-    """Dispatch on a family name: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p).
-    A family takes exactly its declared parameters."""
-    if name not in _NAMED_FAMILIES:
+def named_family(name: str, p: int | None = None, n: int | None = None):
+    """The constructor (taking max_order) and the closed form (taking nothing,
+    giving None without one) of the FAMILIES row with the named: key `name`,
+    both bound to its declared parameters, taken from p and n.  A family
+    takes exactly its declared parameters, all required."""
+    rows = [row for row in FAMILIES if row[0] and row[0] == name]
+    if not rows:
         raise DomainError(f"unknown named family {name!r} "
-                          f"(expected {', '.join(_NAMED_FAMILIES)})")
-    required, build = _NAMED_FAMILIES[name]
+                          f"(expected {', '.join(row[0] for row in FAMILIES if row[0])})")
+    _, _, required, build, f2, _ = rows[0]
     given = {"p": p, "n": n}
     for key, value in given.items():
         if value is not None and key not in required:
@@ -441,7 +454,22 @@ def build_named(name: str, p: int | None = None, n: int | None = None, *,
     if None in args:
         both = "both " if len(required) > 1 else ""
         raise DomainError(f"{name} requires {both}{' and '.join(required)}")
-    return build(*args, max_order=max_order)
+    return partial(build, *args), partial(f2, *args) if f2 else lambda: None
+
+
+def build_named(name: str, p: int | None = None, n: int | None = None, *,
+                max_order: int | None = None) -> FiniteGroup:
+    """The group of a named family: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p)."""
+    return named_family(name, p, n)[0](max_order=max_order)
+
+
+def abelian_closed_form(t: PartitionType) -> int | None:
+    """F2 of the abelian group of type t by the closed form of its family
+    in FAMILIES (cyclic, rank 2 or elementary), or None when it has none."""
+    forms = {row[1]: row[4] for row in FAMILIES}
+    if t.rank in (1, 2):
+        return forms["cyclic" if t.rank == 1 else "rank2"](t.p, *t.alphas)
+    return forms["elementary"](t.p, t.rank) if set(t.alphas) == {1} else None
 
 
 # ---------------------------------------------------------------------------

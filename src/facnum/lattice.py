@@ -668,7 +668,8 @@ class InversionReport:
     eq1 is sum_H sd(H) |L(H)|^2 mu(H, G) (always computed); for abelian G
     the two specializations are added: eq2_subgroup = sum |L(H)|^2 mu(H,G)
     and eq2_quotient = sum |L(G/H)|^2 mu(1,H).  `checks` holds the verdict
-    of each check, in the order eq1, eq2_subgroup, eq2_quotient, hall:
+    of each check, in the order eq1, eq2_subgroup, eq2_quotient, hall, then
+    closed_form where `f2 --verify` adds it for a spec whose family has one:
     "pass", "FAIL" or "skipped: <reason>".
     """
 

@@ -5,14 +5,17 @@ import subprocess
 import sys
 import textwrap
 import time
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
-from facnum import cli, explore, lattice
+from facnum import cli, explore, formulas, lattice
 from facnum.cli import GroupSpec, main
-from facnum.errors import ParseError, ResourceLimitError
-from facnum.groups import dihedral8, elementary_abelian_group, permute_elements
+from facnum.errors import DomainError, FacnumError, ParseError, ResourceLimitError
+from facnum.groups import (FAMILIES, build_named, dihedral8, elementary_abelian_group,
+                           modular_p3, permute_elements)
+from facnum.intpoly import IntPolynomial
 
 from helpers import permutation_group
 
@@ -77,6 +80,10 @@ class TestGroupSpec:
         "table:",
         "wat:1",
         "abelian:p=x,type=1",
+        # a repeated field is refused, not overwritten
+        "abelian:p=2,p=3,type=1",
+        "abelian:p=2,type=1,type=2",
+        "named:M:p=3:p=5",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
@@ -269,7 +276,47 @@ class TestF2Command:
         checks = json.loads(out)["verify"]["checks"]
         assert code == 1
         assert checks == {"eq1": "pass", "eq2_subgroup": "pass", "eq2_quotient": "pass",
-                          "hall": "FAIL"}
+                          "hall": "FAIL", "closed_form": "pass"}
+
+    @pytest.mark.parametrize("spec", ["named:Cyclic:p=2:n=0", "named:Elem:p=2:n=0",
+                                      "named:E:p=5", "abelian:p=5,type=1,1",
+                                      "named:M:p=3", "abelian:p=3,type=2"])
+    def test_verify_closed_form_passes(self, capsys, spec):
+        code, out, _ = run(capsys, "f2", spec, "--verify")
+        assert code == 0 and out.splitlines()[-1] == "verify closed_form: pass"
+
+    @pytest.mark.parametrize("spec", ["named:D8", "named:Q8", "abelian:p=2,type=1,1,2"])
+    def test_verify_without_closed_form_prints_no_check(self, capsys, spec):
+        # a family with no closed form gets the lattice checks only
+        code, out, _ = run(capsys, "f2", spec, "--verify")
+        assert code == 0 and "closed_form" not in out
+        assert out.splitlines()[-1] == "verify hall: pass"
+
+    @pytest.mark.parametrize("group", [dihedral8, lambda: modular_p3(3)], ids=["D8", "M27"])
+    def test_verify_table_checks_are_the_lattice_checks(self, capsys, tmp_path, group):
+        # a table has no family, even when its group has a closed form, so
+        # its JSON checks keep exactly these keys
+        path = tmp_path / "g.tbl"
+        path.write_text(group().to_table_text())
+        code, out, _ = run(capsys, "f2", f"table:{path}", "--verify", "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["verify"]["checks"]) == ["eq1", "eq2_subgroup",
+                                                             "eq2_quotient", "hall"]
+
+    def test_verify_closed_form_mismatch_exits_1_under_optimize(self):
+        # M(p^3)'s closed form off by one must fail the closed_form check,
+        # and the check must survive python -O
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, formulas
+            exact = formulas.f2_modular_p3_poly
+            formulas.f2_modular_p3_poly = lambda: exact() + 1
+            sys.exit(cli.main(["f2", "named:M:p=3", "--verify"]))
+        """)
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "verify closed_form: FAIL" in lines and "verify eq1: pass" in lines
 
     def test_verify_hall_failure_exits_1_under_optimize(self):
         script = textwrap.dedent("""
@@ -533,7 +580,8 @@ class TestExploreCommand:
     def test_theorem5_wrong_modular_closed_form_fails(self, capsys, monkeypatch):
         # every catalog row with a closed form is checked, not only the
         # elementary one
-        monkeypatch.setattr(explore, "f2_modular_p3", lambda p: 50)
+        # 8 + 5p + 3p^2 is 50 at p = 3
+        monkeypatch.setattr(formulas, "f2_modular_p3_poly", lambda: IntPolynomial((8, 5, 3)))
         code, _, err = run(capsys, "explore", "theorem5", "--p", "3", "--n", "3")
         assert code == 1
         assert "closed form 50 disagrees with brute force 49 for M(27)" in err
@@ -661,3 +709,61 @@ class TestOutputContracts:
     def test_help_exit_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "facnum" in out
+
+
+def _valid_parameters(declared, fns, primes=(2, 3), rest=range(3)):
+    """(params, [fn(*params) for fn in fns]) for each parameter tuple, p first
+    and smallest first, that every one of fns accepts."""
+    for params in product(primes, *[rest] * (len(declared) - 1)) if declared else [()]:
+        try:
+            values = [fn(*params) for fn in fns]
+        except FacnumError:
+            continue
+        yield params, values
+
+
+class TestFamilyTable:
+    """Every family is one row of groups.FAMILIES, and each row that has a
+    closed form meets brute force here, so a new row cannot go unchecked."""
+
+    def test_formula_choices_are_the_rows(self):
+        formula = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        families = next(a for a in formula.choices["formula"]._actions if a.dest == "family")
+        assert list(families.choices) == [row[1] for row in FAMILIES if row[1]]
+
+    def test_named_keys_are_the_rows(self):
+        keys = [row[0] for row in FAMILIES if row[0]]
+        for key, _, declared, build, *_ in FAMILIES:
+            if key:
+                params, (group,) = next(_valid_parameters(declared, [build]))
+                fields = "".join(f":{name}={v}" for name, v in zip(declared, params))
+                assert GroupSpec.parse(f"named:{key}{fields}").build().label == group.label
+        # a formula name is not a named: key, nor is the None of a row without one
+        for name in ("Sporadic", None, *(row[1] for row in FAMILIES if row[1])):
+            with pytest.raises(DomainError, match=rf"\(expected {', '.join(keys)}\)$"):
+                build_named(name)
+
+    @pytest.mark.parametrize("row", [row for row in FAMILIES if row[3] and row[4]],
+                             ids=lambda row: row[0] or row[1])
+    def test_closed_form_meets_brute_force(self, capsys, row):
+        # at the two smallest valid parameter tuples
+        _, family, declared, build, f2, poly_fn = row
+        checked = list(islice(_valid_parameters(declared, [build, f2]), 2))
+        assert checked, "no valid parameters"
+        for params, (group, value) in checked:
+            assert lattice.f2_bruteforce(lattice.enumerate_subgroups(group)) == value
+            if family is None:
+                continue
+            flags = [f"--{name}={v}" for name, v in zip(declared[1:], params[1:])]
+            if poly_fn is not None:
+                flags.append(f"--p={params[0]}")
+            assert run(capsys, "formula", family, *flags) == (0, f"F2 = {value}\n", "")
+
+    @pytest.mark.parametrize("row", [row for row in FAMILIES if row[5]],
+                             ids=lambda row: row[0] or row[1])
+    def test_polynomial_is_the_value(self, row):
+        _, _, declared, _, f2, poly_fn = row
+        found = list(_valid_parameters(declared, [f2], primes=(2, 3, 5), rest=range(4)))
+        assert {params[0] for params, _ in found} >= {3, 5}
+        for params, (value,) in found:
+            assert poly_fn(*params[1:])(params[0]) == value
