@@ -17,7 +17,6 @@ from .errors import (
     VerificationError,
 )
 from .explore import (
-    CatalogEntry,
     Conjecture6Report,
     MonotonicityReport,
     PartitionForms,
@@ -53,6 +52,7 @@ from .formulas import (
 )
 from .groups import (
     FiniteGroup,
+    GroupSpec,
     build_abelian,
     build_named,
     cyclic_group,

@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract so sweeps can be scripted:
 0 success / claim verified, 1 a mathematical verdict failed (an identity
-mismatch or a violated bound), 2 input validation, 3 a resource cap.
+mismatch or a violated bound), 2 input validation, 3 a resource cap,
+141 stdout closed early (128 + SIGPIPE, as in `facnum f2 ... --list | head`).
 JSON output keeps every potentially-big count as a decimal string.
 """
 
@@ -13,16 +14,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from . import __version__
-from .errors import DomainError, FacnumError, ParseError, ResourceLimitError, VerificationError
+from .errors import DomainError, FacnumError, ResourceLimitError, VerificationError
 from .explore import check_conjecture6, check_theorem5, open_problem_table
-from .formulas import PartitionType
-from .groups import (FAMILIES, FiniteGroup, abelian_closed_form, build_abelian, build_named,
-                     load_cayley_table, named_family)
+# load_cayley_table is not called here, but perfbench's tracer tests read cli.load_cayley_table
+from .groups import FAMILIES, GroupSpec, load_cayley_table
 from .lattice import (
     MAX_LIST_PAIRS,
     enumerate_subgroups,
@@ -39,90 +37,6 @@ EXIT_RESOURCE = 3
 
 
 # ---------------------------------------------------------------------------
-# Group descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Parsed form of a group descriptor string: its canonical text, the
-    constructor of its group and, lazily, F2 by the closed form of its family
-    (None without one, as for a table).  Two specs are equal iff their texts are.
-
-    Grammar:  abelian:p=<P>,type=<a1,a2,...>
-            | named:<family>[:p=<P>][:n=<N>]
-            | table:<path>
-
-    A field is given once.  A named family takes exactly the parameters it
-    declares in groups.FAMILIES (Cyclic and Elem p and n, M and E p, D8 and
-    Q8 none); build() refuses a missing or an undeclared one.
-    """
-
-    text: str
-    make: Callable[..., FiniteGroup] = field(compare=False, repr=False)  # takes max_order=
-    closed: Callable[[], int | None] = field(default=lambda: None, compare=False, repr=False)
-
-    @staticmethod
-    def parse(text: str) -> "GroupSpec":
-        if text.startswith("abelian:"):
-            body = text[len("abelian:"):]
-            fields: dict[str, tuple[int, ...]] = {}
-            for part in body.split(","):
-                part = part.strip()
-                key, sep, value = part.partition("=")
-                if sep and key in ("p", "type"):
-                    if key in fields:
-                        raise ParseError(f"repeated abelian field {key!r}")
-                    fields[key] = (_parse_int(value, key),)
-                elif "type" in fields:  # a further exponent of the type
-                    fields["type"] += (_parse_int(part, "type"),)
-                else:
-                    raise ParseError(f"unrecognized abelian field {part!r}")
-            if fields.keys() != {"p", "type"}:
-                raise ParseError("abelian spec needs p=<prime> and type=<a1,a2,...>")
-            t = PartitionType(fields["p"][0], fields["type"])
-            return GroupSpec(f"abelian:p={t.p},type={','.join(map(str, t.alphas))}",
-                             functools.partial(build_abelian, t),
-                             functools.partial(abelian_closed_form, t))
-        if text.startswith("named:"):
-            parts = text.split(":")[1:]
-            if not parts or not parts[0]:
-                raise ParseError("named spec needs a family name")
-            name = parts[0]
-            params = {"p": None, "n": None}
-            for part in parts[1:]:
-                key, sep, value = part.partition("=")
-                if key not in params or not sep:
-                    raise ParseError(f"unrecognized named field {part!r}")
-                if params[key] is not None:
-                    raise ParseError(f"repeated named field {key!r}")
-                params[key] = _parse_int(value, key)
-            canonical = "".join(f":{k}={v}" for k, v in params.items() if v is not None)
-            return GroupSpec(f"named:{name}{canonical}",
-                             functools.partial(build_named, name, *params.values()),
-                             lambda: named_family(name, *params.values())[1]())
-        if text.startswith("table:"):
-            path = text[len("table:"):]
-            if not path:
-                raise ParseError("table spec needs a file path")
-            return GroupSpec(text, functools.partial(load_cayley_table, path))
-        raise ParseError(f"cannot parse group spec {text!r} "
-                         "(expected abelian:..., named:... or table:...)")
-
-    def canonical(self) -> str:
-        return self.text
-
-    def build(self, max_order: int | None = None) -> FiniteGroup:
-        return self.make(max_order=max_order)
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(f"{what} must be an integer, got {text!r}") from exc
-
-
-# ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
 
@@ -134,19 +48,31 @@ def _emit(doc: dict, fmt: str, table_text: str, csv_rows: list[list[str]]) -> No
             print(",".join(row))
     else:
         print(table_text)
+    sys.stdout.flush()  # a closed stdout raises here, in main, not at the interpreter's exit
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a cap or a thread count."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_format(parser)
-    parser.add_argument("--max-order", type=int, default=None,
+    parser.add_argument("--max-order", type=_positive_int, default=None,
                         help="override the group-order safety cap")
-    parser.add_argument("--max-subgroups", type=int, default=None,
+    parser.add_argument("--max-subgroups", type=_positive_int, default=None,
                         help="override the subgroup-count safety cap")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                         help="worker threads for pair counting")
 
 
@@ -173,22 +99,22 @@ def _cmd_formula(args) -> int:
         elif not args.poly:
             raise DomainError(f"{family} requires --p (or --poly)")
 
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # every count is exact, however many digits it has
+    try:
+        value, poly = (None if x is None else str(x) for x in (value, poly))
+    finally:
+        sys.set_int_max_str_digits(limit)
     doc = {
         "command": "formula",
         "family": family,
         "params": params,
-        "value": None if value is None else str(value),
-        "poly": None if poly is None else str(poly),
+        "value": value,
+        "poly": poly,
     }
-    lines = []
-    if value is not None:
-        lines.append(f"F2 = {value}")
-    if poly is not None:
-        lines.append(f"F2 = {poly}")
+    lines = [f"F2 = {x}" for x in (value, poly) if x is not None]
     csv_rows = [["family", "params", "value", "poly"],
-                [family, ";".join(f"{k}={v}" for k, v in params.items()),
-                 "" if value is None else str(value),
-                 "" if poly is None else str(poly)]]
+                [family, ";".join(f"{k}={v}" for k, v in params.items()), value or "", poly or ""]]
     _emit(doc, args.format, "\n".join(lines), csv_rows)
     return EXIT_OK
 
@@ -353,6 +279,13 @@ def main(argv=None) -> int:
     except FacnumError as exc:
         print(f"facnum: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader has gone: point stdout at /dev/null so that the
+        # interpreter's final flush stays silent, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

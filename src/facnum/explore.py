@@ -9,22 +9,22 @@ ranks under BOTH writing conventions (nondecreasing exponent tuples and
 standard nonincreasing notation) because the monotonicity verdict
 genuinely depends on the choice.
 
-All three run one sweep, `_sweep`, over catalog entries.  Every entry
-whose family has a closed form in `groups.FAMILIES` carries it, and the
-sweep cross-checks it against brute force on every row: a disagreement
-raises `VerificationError`.
+All three run one sweep, `_sweep`, over a catalog: a list of
+`groups.GroupSpec`s, so any row can be re-run with `facnum f2 <spec>`.
+Every spec whose family has a closed form in `groups.FAMILIES` carries it,
+and the sweep cross-checks it against brute force on every row: a
+disagreement raises `VerificationError`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, VerificationError
 from .formulas import PartitionType, _require_prime
-from .groups import FiniteGroup, abelian_closed_form, build_abelian, load_cayley_table, named_family
+from .groups import FiniteGroup, GroupSpec, _check_order_cap, load_cayley_table
 from .lattice import enumerate_subgroups, f2_bruteforce
 
 
@@ -72,54 +72,36 @@ def partitions(n: int) -> list[PartitionForms]:
 # Catalogs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    label: str
-    source: str  # "builtin" or a file path
-    order: int
-    build: Callable[..., FiniteGroup]  # called with the run's max_order= by _sweep
-    closed_form: int | None = None  # F2 by a closed form, checked by _sweep
-
-
-def _abelian_entry(p: int, alphas: tuple[int, ...], *, label: str | None = None) -> CatalogEntry:
-    """The abelian group of type alphas, with the closed form of its family
-    if it has one."""
-    t = PartitionType(p, alphas)
-    label = label or t.label()
-    return CatalogEntry(label, "builtin", t.order, partial(build_abelian, t, label=label),
-                        abelian_closed_form(t))
-
-
-def theorem5_catalog(p: int, n: int) -> list[CatalogEntry]:
+def theorem5_catalog(p: int, n: int) -> list[GroupSpec]:
     """The classified groups of order p^2 and p^3."""
     _require_prime(p)
     if n not in (2, 3):
         raise DomainError("the order-p^n classification is built in for n in {2, 3} only, "
                           f"got n={n}")
-    q = p**n
-    entries = [_abelian_entry(p, (1,) * n, label=f"Z{p}^{n}"),
-               _abelian_entry(p, (n,), label=f"Z{q}")]
+    specs = [GroupSpec.named("Elem", p, n), GroupSpec.named("Cyclic", p, n)]
     if n == 3:
-        entries.insert(1, _abelian_entry(p, (1, 2)))  # Z_p x Z_p^2
-        for name in ("D8", "Q8") if p == 2 else ("M", "E"):
-            build, closed = named_family(name, p if p > 2 else None)
-            entries.append(CatalogEntry(name if p == 2 else f"{name}({q})", "builtin", q,
-                                        build, closed()))
-    return entries
+        specs.insert(1, GroupSpec.abelian(PartitionType(p, (1, 2))))  # Z_p x Z_p^2
+        specs += [GroupSpec.named(name, p if p > 2 else None)
+                  for name in (("D8", "Q8") if p == 2 else ("M", "E"))]
+    return specs
 
 
-def _sweep(entries: Sequence[CatalogEntry], threads: int | None, max_order: int | None,
-           max_subgroups: int | None) -> list[tuple[CatalogEntry, int, int]]:
-    """(entry, |L|, F2) for each entry, by brute force, each group built under
-    the run's order cap.  An entry's closed form, if it has one, must agree."""
+def _sweep(specs: Sequence[GroupSpec], threads: int | None, max_order: int | None,
+           max_subgroups: int | None) -> list[tuple[FiniteGroup, str, int, int]]:
+    """(G, source, |L|, F2) for each spec, by brute force, each group built
+    under the run's order cap.  The source is the path of a table: spec and
+    "builtin" otherwise.  A spec's closed form, if it has one, must agree."""
     out = []
-    for entry in entries:
-        lat = enumerate_subgroups(entry.build(max_order=max_order), max_subgroups=max_subgroups)
+    for spec in specs:
+        G = spec.build(max_order)
+        lat = enumerate_subgroups(G, max_subgroups=max_subgroups)
         f2 = f2_bruteforce(lat, threads=threads)
-        if entry.closed_form is not None and entry.closed_form != f2:
-            raise VerificationError(f"closed form {entry.closed_form} disagrees with "
-                                    f"brute force {f2} for {entry.label}")
-        out.append((entry, len(lat), f2))
+        closed = spec.closed()
+        if closed is not None and closed != f2:
+            raise VerificationError(f"closed form {closed} disagrees with "
+                                    f"brute force {f2} for {G.label}")
+        kind, _, path = spec.text.partition(":")
+        out.append((G, path if kind == "table" else "builtin", len(lat), f2))
     return out
 
 
@@ -170,12 +152,11 @@ def check_theorem5(p: int, n: int, *, threads: int | None = None,
     """Brute-force F2 over the full catalog of groups of order p^n (n = 2, 3)
     and check the extremes: strict maximum at the elementary abelian group,
     minimum 2n + 1 at the cyclic group."""
-    entries = theorem5_catalog(p, n)
-    swept = _sweep(entries, threads, max_order, max_subgroups)
-    rows = [{"label": e.label, "source": e.source, "order": e.order,
-             "lattice_size": str(size), "f2": str(f2)} for e, size, f2 in swept]
-    values = {e.label: f2 for e, _, f2 in swept}
-    elem_label = entries[0].label
+    swept = _sweep(theorem5_catalog(p, n), threads, max_order, max_subgroups)
+    rows = [{"label": G.label, "source": source, "order": G.order,
+             "lattice_size": str(size), "f2": str(f2)} for G, source, size, f2 in swept]
+    values = {G.label: f2 for G, _, _, f2 in swept}
+    elem_label = swept[0][0].label
     cyclic_label = f"Z{p ** n}"
     elem_value = values[elem_label]
     problems = []
@@ -255,20 +236,20 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
     _require_prime(p)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    bound = named_family("Elem", p, n)[1]()
-    if n in (2, 3):
-        entries = theorem5_catalog(p, n)
-    else:
-        entries = [_abelian_entry(p, pf.nondecreasing) for pf in partitions(n)]
     order = p**n
+    tables = []
     for path in extra_tables:
         G = load_cayley_table(path, max_order=max_order)
         if G.order != order:
             raise DomainError(f"{path}: table has order {G.order}, expected p^n = {order}")
-        entries.append(CatalogEntry(G.label, str(path), order, lambda max_order, G=G: G))
-    rows = [{"label": e.label, "source": e.source, "order": e.order, "f2": str(f2),
+        tables.append(GroupSpec(f"table:{path}", lambda max_order, G=G: G))
+    _check_order_cap(order, max_order)  # before the bound and partitions(n): both grow fast
+    bound = GroupSpec.named("Elem", p, n).closed()
+    specs = theorem5_catalog(p, n) if n in (2, 3) else [
+        GroupSpec.abelian(PartitionType(p, pf.nondecreasing)) for pf in partitions(n)]
+    rows = [{"label": G.label, "source": source, "order": G.order, "f2": str(f2),
              "within_bound": f2 <= bound}
-            for e, _, f2 in _sweep(entries, threads, max_order, max_subgroups)]
+            for G, source, _, f2 in _sweep(specs + tables, threads, max_order, max_subgroups)]
     counterexamples = [f"{r['label']} has F2 = {r['f2']} > {bound}"
                        for r in rows if not r["within_bound"]]
     complete = n <= 3
@@ -343,16 +324,19 @@ def open_problem_table(p: int, n: int, *, threads: int | None = None,
     F2 is monotone along the lexicographic order on partitions, under both
     writing conventions."""
     _require_prime(p)
+    _check_order_cap(p**n, max_order)  # before partitions(n), which grows fast with n
     forms = partitions(n)
-    entries = [_abelian_entry(p, pf.nondecreasing) for pf in forms]
+    specs = [GroupSpec.abelian(PartitionType(p, pf.nondecreasing)) for pf in forms]
     rows = [{
         "nondecreasing": list(pf.nondecreasing),
         "nonincreasing": list(pf.nonincreasing),
-        "label": e.label,
+        "label": G.label,
         "lattice_size": str(size),
         "f2": str(f2),
-        "closed_form": None if e.closed_form is None else str(e.closed_form),
-    } for pf, (e, size, f2) in zip(forms, _sweep(entries, threads, max_order, max_subgroups))]
+        # _sweep has checked that a closed form equals F2
+        "closed_form": None if spec.closed() is None else str(f2),
+    } for pf, spec, (G, _, size, f2) in zip(forms, specs,
+                                            _sweep(specs, threads, max_order, max_subgroups))]
 
     verdicts: dict[str, dict] = {}
     for name, key in (("nondecreasing_lex", "nondecreasing"),

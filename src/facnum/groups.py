@@ -46,8 +46,10 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -436,33 +438,6 @@ FAMILIES = (
 )
 
 
-def named_family(name: str, p: int | None = None, n: int | None = None):
-    """The constructor (taking max_order) and the closed form (taking nothing,
-    giving None without one) of the FAMILIES row with the named: key `name`,
-    both bound to its declared parameters, taken from p and n.  A family
-    takes exactly its declared parameters, all required."""
-    rows = [row for row in FAMILIES if row[0] and row[0] == name]
-    if not rows:
-        raise DomainError(f"unknown named family {name!r} "
-                          f"(expected {', '.join(row[0] for row in FAMILIES if row[0])})")
-    _, _, required, build, f2, _ = rows[0]
-    given = {"p": p, "n": n}
-    for key, value in given.items():
-        if value is not None and key not in required:
-            raise DomainError(f"{name} takes no parameter {key}")
-    args = [given[k] for k in required]
-    if None in args:
-        both = "both " if len(required) > 1 else ""
-        raise DomainError(f"{name} requires {both}{' and '.join(required)}")
-    return partial(build, *args), partial(f2, *args) if f2 else lambda: None
-
-
-def build_named(name: str, p: int | None = None, n: int | None = None, *,
-                max_order: int | None = None) -> FiniteGroup:
-    """The group of a named family: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p)."""
-    return named_family(name, p, n)[0](max_order=max_order)
-
-
 def abelian_closed_form(t: PartitionType) -> int | None:
     """F2 of the abelian group of type t by the closed form of its family
     in FAMILIES (cyclic, rank 2 or elementary), or None when it has none."""
@@ -470,6 +445,113 @@ def abelian_closed_form(t: PartitionType) -> int | None:
     if t.rank in (1, 2):
         return forms["cyclic" if t.rank == 1 else "rank2"](t.p, *t.alphas)
     return forms["elementary"](t.p, t.rank) if set(t.alphas) == {1} else None
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """A group descriptor: its canonical text, the constructor of its group
+    and, lazily, F2 by the closed form of its family (None without one, as
+    for a table).  Two specs are equal iff their texts are.  The explore
+    catalogs are lists of specs, so any row re-runs as `facnum f2 <text>`.
+
+    Grammar:  abelian:p=<P>,type=<a1,a2,...>
+            | named:<family>[:p=<P>][:n=<N>]
+            | table:<path>
+
+    parse() tokenizes a text for abelian(), named() or table().  A field is
+    given once.  A named family takes exactly the parameters it declares in
+    FAMILIES (Cyclic and Elem p and n, M and E p, D8 and Q8 none); named()
+    refuses a missing or an undeclared one.
+    """
+
+    text: str
+    make: Callable[..., FiniteGroup] = field(compare=False, repr=False)  # takes max_order=
+    closed: Callable[[], int | None] = field(default=lambda: None, compare=False, repr=False)
+
+    @staticmethod
+    def abelian(t: PartitionType) -> "GroupSpec":
+        return GroupSpec(f"abelian:p={t.p},type={','.join(map(str, t.alphas))}",
+                         partial(build_abelian, t), partial(abelian_closed_form, t))
+
+    @staticmethod
+    def named(name: str, p: int | None = None, n: int | None = None) -> "GroupSpec":
+        """The FAMILIES row keyed `name`, bound to its declared parameters."""
+        rows = [row for row in FAMILIES if row[0] and row[0] == name]
+        if not rows:
+            raise DomainError(f"unknown named family {name!r} "
+                              f"(expected {', '.join(row[0] for row in FAMILIES if row[0])})")
+        _, _, required, build, f2, _ = rows[0]
+        given = {"p": p, "n": n}
+        for key, value in given.items():
+            if value is not None and key not in required:
+                raise DomainError(f"{name} takes no parameter {key}")
+        args = [given[k] for k in required]
+        if None in args:
+            both = "both " if len(required) > 1 else ""
+            raise DomainError(f"{name} requires {both}{' and '.join(required)}")
+        return GroupSpec(f"named:{name}" + "".join(f":{k}={v}" for k, v in zip(required, args)),
+                         partial(build, *args), partial(f2, *args) if f2 else lambda: None)
+
+    @staticmethod
+    def table(path: str) -> "GroupSpec":
+        if not path:
+            raise ParseError("table spec needs a file path")
+        return GroupSpec(f"table:{path}", partial(load_cayley_table, path))
+
+    @staticmethod
+    def parse(text: str) -> "GroupSpec":
+        if text.startswith("abelian:"):
+            fields: dict[str, tuple[int, ...]] = {}
+            for part in text[len("abelian:"):].split(","):
+                part = part.strip()
+                key, sep, value = part.partition("=")
+                if sep and key in ("p", "type"):
+                    if key in fields:
+                        raise ParseError(f"repeated abelian field {key!r}")
+                    fields[key] = (_parse_int(value, key),)
+                elif "type" in fields:  # a further exponent of the type
+                    fields["type"] += (_parse_int(part, "type"),)
+                else:
+                    raise ParseError(f"unrecognized abelian field {part!r}")
+            if fields.keys() != {"p", "type"}:
+                raise ParseError("abelian spec needs p=<prime> and type=<a1,a2,...>")
+            return GroupSpec.abelian(PartitionType(fields["p"][0], fields["type"]))
+        if text.startswith("named:"):
+            name, *parts = text[len("named:"):].split(":")
+            if not name:
+                raise ParseError("named spec needs a family name")
+            params = {"p": None, "n": None}
+            for part in parts:
+                key, sep, value = part.partition("=")
+                if key not in params or not sep:
+                    raise ParseError(f"unrecognized named field {part!r}")
+                if params[key] is not None:
+                    raise ParseError(f"repeated named field {key!r}")
+                params[key] = _parse_int(value, key)
+            return GroupSpec.named(name, **params)
+        if text.startswith("table:"):
+            return GroupSpec.table(text[len("table:"):])
+        raise ParseError(f"cannot parse group spec {text!r} "
+                         "(expected abelian:..., named:... or table:...)")
+
+    def canonical(self) -> str:
+        return self.text
+
+    def build(self, max_order: int | None = None) -> FiniteGroup:
+        return self.make(max_order=max_order)
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"{what} must be an integer, got {text!r}") from exc
+
+
+def build_named(name: str, p: int | None = None, n: int | None = None, *,
+                max_order: int | None = None) -> FiniteGroup:
+    """The group of a named family: Cyclic(p,n), Elem(p,n), D8, Q8, M(p), E(p)."""
+    return GroupSpec.named(name, p, n).build(max_order)
 
 
 # ---------------------------------------------------------------------------

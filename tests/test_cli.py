@@ -35,6 +35,18 @@ def run_optimized(script: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def cli_process(*argv: str, unbuffered: bool = False) -> subprocess.Popen:
+    """`facnum <argv>` in a child process with the package on the path, its
+    stdout and stderr piped, and stdout buffered unless `unbuffered`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "facnum.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 class TestGroupSpec:
     @pytest.mark.parametrize("text", [
         "abelian:p=2,type=1,2",
@@ -89,6 +101,17 @@ class TestGroupSpec:
         with pytest.raises(ParseError):
             GroupSpec.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["named:Sporadic", "named:D8:p=3", "named:M"])
+    def test_named_family_checked_at_parse(self, bad):
+        with pytest.raises(DomainError):
+            GroupSpec.parse(bad)
+
+    def test_constructors_give_the_parsed_spec(self, tmp_path):
+        assert GroupSpec.abelian(formulas.PartitionType(2, (1, 2))) == GroupSpec.parse(
+            "abelian:p=2,type=1,2")
+        assert GroupSpec.named("M", 3) == GroupSpec.parse("named:M:p=3")
+        assert GroupSpec.table(str(tmp_path)) == GroupSpec.parse(f"table:{tmp_path}")
+
 
 class TestFormulaCommand:
     def test_elementary_value(self, capsys):
@@ -116,6 +139,25 @@ class TestFormulaCommand:
     def test_cyclic(self, capsys):
         code, out, _ = run(capsys, "formula", "cyclic", "--n", "3")
         assert code == 0 and "7" in out
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_value_over_the_int_digit_limit(self, capsys, fmt):
+        # 4 300 decimal digits is the interpreter's default limit on int -> str
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "formula", "rank2", "--p", "3", "--a1", "5000",
+                             "--a2", "5000", "--format", fmt)
+        assert sys.get_int_max_str_digits() == limit  # restored
+        sys.set_int_max_str_digits(0)
+        try:
+            value = str(formulas.f2_rank2(3, 5000, 5000))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "") and len(value) > 4300
+        if fmt == "json":
+            assert json.loads(out)["value"] == value
+        else:
+            assert out == {"table": f"F2 = {value}\n", "csv": "family,params,value,poly\n"
+                           f"rank2,a1=5000;a2=5000;p=3,{value},\n"}[fmt]
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "formula", "Mp3", "--p", "5", "--format", "csv")
@@ -555,6 +597,18 @@ class TestExploreCommand:
                            "--max-order", "4")
         assert code == 3 and "exceeds the safety cap 4" in err
 
+    @pytest.mark.parametrize("sweep", ["openproblem", "conjecture6"])
+    def test_order_cap_refuses_before_the_partitions(self, sweep):
+        # partitions(90) has about 5.7e7 members; the cap is checked first
+        proc = cli_process("explore", sweep, "--p", "2", "--n", "90")
+        try:
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out) == (3, "")
+        assert err == (f"facnum: resource limit: group order {2**90} exceeds the safety cap "
+                       "4096 (pass max_order or set FACNUM_MAX_ORDER to override)\n")
+
     def test_conjecture6_unreadable_table_exits_2(self, capsys, tmp_path):
         path = tmp_path / "missing.tbl"
         code, out, err = run(capsys, "explore", "conjecture6", "--p", "2", "--n", "3",
@@ -701,6 +755,31 @@ class TestOutputContracts:
     ])
     def test_undeclared_named_parameter_exits_2(self, capsys, spec, message):
         assert run(capsys, "f2", spec) == (2, "", f"facnum: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--max-order", "--max-subgroups", "--threads"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["f2", "named:D8"], ["sd", "named:D8"],
+                                         ["explore", "theorem5", "--p", "2", "--n", "2"]])
+    def test_nonpositive_cap_or_threads_exits_2(self, capsys, command, flag, value):
+        code, out, err = run(capsys, *command, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {flag}: must be a positive integer, got {value}\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv,first_line", [
+        # --list prints about 1.5 MB, far more than a pipe buffer holds
+        (["f2", "named:Elem:p=2:n=5", "--list"], "group Z2^5 (order 32)\n"),
+        # closed before the child has started: a short output fails at its flush
+        (["f2", "named:D8"], None),
+    ])
+    def test_closed_stdout_exits_141_quietly(self, argv, first_line, unbuffered):
+        proc = cli_process(*argv, unbuffered=unbuffered)
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == ""
+        proc.stderr.close()
 
     def test_argparse_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "formula", "nosuchfamily")

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from facnum import GroupSpec, explore
+from facnum.cli import main
 from facnum.errors import DomainError
 from facnum.explore import (
     check_conjecture6,
@@ -11,6 +14,55 @@ from facnum.explore import (
     theorem5_catalog,
 )
 from facnum.groups import dihedral8
+
+
+def swept_specs(monkeypatch, sweep, *args) -> list[GroupSpec]:
+    """The specs that a sweep hands to _sweep."""
+    seen: list[GroupSpec] = []
+    real = explore._sweep
+
+    def recording(specs, *rest):
+        seen.extend(specs)
+        return real(specs, *rest)
+
+    monkeypatch.setattr(explore, "_sweep", recording)
+    sweep(*args)
+    return seen
+
+
+class TestCatalogSpecs:
+    """A catalog is a list of specs, and each row re-runs from its spec's text."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_theorem5_rows_reparse(self, p, n):
+        self.check_reparse(theorem5_catalog(p, n))
+
+    @pytest.mark.parametrize("sweep", [open_problem_table, check_conjecture6])
+    def test_abelian_rows_reparse(self, monkeypatch, sweep):
+        specs = swept_specs(monkeypatch, sweep, 2, 4)
+        assert [s.text for s in specs] == [f"abelian:p=2,type={','.join(map(str, pf.nondecreasing))}"
+                                           for pf in partitions(4)]
+        self.check_reparse(specs)
+
+    @staticmethod
+    def check_reparse(specs):
+        for spec in specs:
+            again = GroupSpec.parse(spec.text)
+            assert again == spec and again.closed() == spec.closed()
+            G, H = spec.build(), again.build()
+            assert G.label == H.label and np.array_equal(G.table, H.table)
+
+    def test_theorem5_rows_rerun_with_f2(self, capsys):
+        specs = theorem5_catalog(2, 3)
+        rows = check_theorem5(2, 3).rows
+        assert [s.closed() is not None for s in specs] == [True, True, True, False, False]
+        for spec, row in zip(specs, rows, strict=True):
+            assert main(["f2", spec.text, "--verify"]) == 0
+            out = capsys.readouterr().out
+            assert f"group {row['label']} (order 8)\nF2 = {row['f2']}\n" in out
+            assert ("verify closed_form: pass" in out) == (spec.closed() is not None)
+            assert "FAIL" not in out
 
 
 class TestPartitions:
