@@ -40,9 +40,23 @@ EXIT_RESOURCE = 3
 # Output helpers
 # ---------------------------------------------------------------------------
 
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2), with a top-level `pairs` list of index
+    pairs rendered row by row and spliced in: byte for byte the same text,
+    in a quarter of the time.  A dumped string holds no newline and no
+    unescaped quote, so the only line that reads `  "pairs": []` is the
+    top-level key's."""
+    pairs = doc.get("pairs")
+    if not pairs:
+        return json.dumps(doc, indent=2)
+    rows = ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i, j in pairs)
+    return json.dumps({**doc, "pairs": []}, indent=2).replace(
+        '\n  "pairs": []', f'\n  "pairs": [\n{rows}\n  ]', 1)
+
+
 def _emit(doc: dict, fmt: str, table_text: str, csv_rows: list[list[str]]) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     elif fmt == "csv":
         for row in csv_rows:
             print(",".join(row))
@@ -141,6 +155,9 @@ def _cmd_f2(args) -> int:
             raise ResourceLimitError(f"--list would print {f2} factorization pairs, "
                                      f"more than the limit {MAX_LIST_PAIRS}")
         pairs = list_factorizations(lat)
+        if len(pairs) != f2:  # F2 of a large task and the list come from different kernels
+            raise VerificationError(f"--list found {len(pairs)} factorization pairs, "
+                                    f"but F2 = {f2}")
         if args.format == "json":  # csv lists no pairs
             doc["pairs"] = pairs  # tuples dump as arrays
         elif args.format == "table":

@@ -1,10 +1,14 @@
 """Subgroup lattices: enumeration, Moebius values, factorization counting.
 
 Subgroups are bitsets over element indices (Python ints), mirrored into
-a numpy uint64 word matrix.  Every pair count (F2, member F2, the
-factorization list, sd's permuting pairs) reads one blocked kernel of
-intersection popcounts by order class, _pair_counts: |HK| = |H||K| / |H∩K|
-for any two subgroups, so HK = G iff |H|*|K| == |G|*|H∩K|.
+a numpy uint64 word matrix.  |HK| = |H||K| / |H∩K| for any two
+subgroups, so HK = G iff |H|*|K| == |G|*|H∩K|.  Pairs are counted by
+order class, in one of two ways: a blocked kernel of intersection
+popcounts, _pair_counts, which gives every pair's |H∩K| to the
+factorization list, sd's permuting pairs and every small task; and,
+for a count of a task that spans several of its blocks, when it reads
+fewer words, saturating counters over the element incidence of the
+second class (_incidence_pairs).
 
 Enumeration is cyclic extension: a member is extended by normal index-p
 steps, one order class and prime at a time, which reaches every subgroup
@@ -14,8 +18,9 @@ its definition, for every group: H <= K iff every element of H lies in K,
 read off one table of the members that contain each element.  Joins
 follow from containment.
 
-All aggregate arithmetic (Moebius values, inversion sums) runs on plain
-Python ints; the numpy side only ever produces bounded popcounts.
+Aggregate arithmetic (inversion sums) runs on plain Python ints, and the
+Moebius sums run in int64 only under a checked bound; the numpy side
+otherwise produces bounded popcounts.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ _LEVEL_CELLS = 1 << 16
 _PAIR_CELLS = 1 << 18
 # uint64 cells per temporary block of the permuting-pairs kernel
 _JOIN_CELLS = 1 << 14
+# |mu| times list length below which the Moebius sums run in int64
+_MU_INT64_BOUND = 1 << 63
 # cells per temporary of the containment pass: the bools of a chunk of the
 # incidence table, and the incidence words a chunk of one order class gathers
 _CONTAIN_CELLS = 1 << 20
@@ -248,14 +255,18 @@ def _transpose(up: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(flat, degrees) of the down-lists from the flat up-lists.  One sort of
     the keys sup*m + sub puts the subgroups of each member in an ascending
     run, the member itself last (a member is the largest index among its
-    subgroups); moving it to the front of its run gives its down-list."""
+    subgroups); moving it to the front of its run gives its down-list.  The
+    subs are added whole members at a time, about _CONTAIN_CELLS keys each."""
     m = len(degrees)
     # the sorted runs lie one place right of their place in down, which
     # leaves the first slot of each run free for its member
     down = np.empty(len(up) + 1, dtype=np.int64)
     keys = down[1:]
     np.multiply(up, m, out=keys)
-    keys += np.repeat(np.arange(m, dtype=np.int64), degrees)
+    ends = np.cumsum(degrees)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, len(up), _CONTAIN_CELLS), side="right"))
+    for a, b in zip(cuts.tolist(), cuts[1:].tolist() + [m]):
+        keys[ends[a] - degrees[a]:ends[b - 1]] += np.repeat(np.arange(a, b), degrees[a:b])
     keys.sort()
     keys %= m
     down_degrees = np.bincount(up, minlength=m)
@@ -473,15 +484,22 @@ def _mobius_recursion(flat: np.ndarray, degrees: np.ndarray,
     the one member of classes[0] and gets mu = 1; each member h of a later
     class gets minus the sum of mu over its list.  Members of one class are
     incomparable, so a class reads only classes already done, and h's own
-    entry adds 0 because its mu is still unset.  The sums run over an
-    object array of Python ints, so they stay exact."""
+    entry adds 0 because its mu is still unset.  The sums run in int64
+    while max |mu| times the class's longest list stays below _MU_INT64_BOUND,
+    which bounds every sum; from the first class where it does not, they run
+    over an object array of Python ints.  Either way they stay exact."""
     ends = np.cumsum(degrees)
     starts = ends - degrees
-    mu = np.zeros(len(degrees), dtype=object)
+    mu = np.zeros(len(degrees), dtype=np.int64)
     mu[classes[0][0]] = 1
+    largest = 1  # max |mu| so far, while mu is int64
     for a, b in classes[1:]:
+        if mu.dtype != object and largest * int(degrees[a:b].max()) >= _MU_INT64_BOUND:
+            mu = mu.astype(object)
         terms = mu[flat[starts[a]:ends[b - 1]]]
         mu[a:b] = -np.add.reduceat(terms, starts[a:b] - starts[a])
+        if mu.dtype != object:
+            largest = max(largest, int(np.abs(mu[a:b]).max()))
     return tuple(mu.tolist())
 
 
@@ -536,14 +554,90 @@ def _pair_counts(words: np.ndarray, A: np.ndarray, B: np.ndarray, same: bool,
         s = e
 
 
-def _ordered_pairs(words: np.ndarray, task) -> int:
-    """Ordered factorization pairs of one task of _pair_tasks."""
+def _popcount_pairs(words: np.ndarray, task) -> int:
+    """Ordered factorization pairs of one task of _pair_tasks, by _pair_counts."""
     A, B, target, same = task
     count = 0
     for s, e, counts in _pair_counts(words, A, B, same):
         hit = counts == target
         count += 2 * np.count_nonzero(hit) - (np.count_nonzero(hit[:, :e - s]) if same else 0)
     return int(count)
+
+
+def _bit_words(lo: int, hi: int, nwords: int) -> np.ndarray:
+    """nwords uint64 words with the bits lo..hi-1 set."""
+    bits = (1 << hi) - (1 << lo)
+    return np.frombuffer(bits.to_bytes(8 * nwords, "little"), dtype=np.uint64)
+
+
+def _incidence_pairs(words: np.ndarray, task) -> int:
+    """Ordered factorization pairs of one task of _pair_tasks, by element
+    incidence: a pair is a factorization iff |a ∩ b| = t, i.e. a and b share
+    exactly t - 1 non-identity elements.  Row x of inc = _incidence(B) is the
+    set of members of B that contain x, so a block of rows a of A walks the
+    non-identity elements x of a and keeps t saturating planes over B, c_k
+    holding the members that share more than k of them: c_k |= c_(k-1) & inc[x]
+    for k from t-1 down to 1, then c_0 |= inc[x].  Plane k is still empty
+    before the k-th element, so it is set there, and skipped before.  The
+    hits are c_(t-2) & ~c_(t-1), or ~c_0 when t = 1.  A same-class block
+    reads the columns from s on and counts its square once, as _pair_counts
+    does.  The planes and scratch are t + 2 buffers of _PAIR_CELLS cells in
+    all, reused block after block."""
+    A, B, target, same = task
+    inc = _incidence(words[B], 64 * words.shape[1])
+    per = max(_PAIR_CELLS // (target + 2), inc.shape[1])
+    buffers = np.empty((target + 2, per), dtype=np.uint64)
+    count, s = 0, 0
+    while s < len(A):
+        lo = s if same else 0
+        first = lo // 64
+        above = np.ascontiguousarray(inc[:, first:])  # np.take copies a strided source whole
+        width = above.shape[1]
+        e = min(len(A), s + per // width)
+        bits = np.unpackbits(words[A[s:e]].view(np.uint8), axis=1, bitorder="little")
+        flat = np.flatnonzero(bits.view(bool)).reshape(e - s, -1)  # each row's elements, ascending
+        elements = (flat[:, 1:] - flat[:, :1]).T  # less the row's offset; column 0 is the identity
+        *planes, row, both = buffers[:, :(e - s) * width].reshape(target + 2, e - s, width)
+        for plane in planes[len(elements):]:  # never set: t = |a| when B = {G}, or a = 1
+            plane.fill(0)
+        if len(elements):
+            np.take(above, elements[0], axis=0, out=planes[0])
+        for j, x in enumerate(elements[1:], 1):
+            np.take(above, x, axis=0, out=row)
+            if j < target:
+                np.bitwise_and(planes[j - 1], row, out=planes[j])
+            for k in range(min(j, target) - 1, 0, -1):
+                np.bitwise_and(planes[k - 1], row, out=both)
+                np.bitwise_or(planes[k], both, out=planes[k])
+            np.bitwise_or(planes[0], row, out=planes[0])
+        if target == 1:
+            np.invert(planes[0], out=both)
+        else:
+            np.bitwise_and(planes[-2], np.invert(planes[-1], out=both), out=both)
+        both &= _bit_words(lo - 64 * first, len(B) - 64 * first, width)
+        hits = 2 * int(np.bitwise_count(both).sum())
+        if same:  # less the square, whose pairs are there in both orders
+            hits -= int(np.bitwise_count(both & _bit_words(0, e - 64 * first, width)).sum())
+        count += hits
+        s = e
+    return count
+
+
+def _ordered_pairs(words: np.ndarray, task) -> int:
+    """Ordered factorization pairs of one task of _pair_tasks.  A task that
+    spans more than one block of _pair_counts goes by _incidence_pairs when
+    that takes fewer word operations: |A| ((|a| - 1) 2t ceil(|B| / 64) + 2n),
+    2t per element of a and the unpacking of a's n bits, against
+    |A| |B| (2 ceil(n / 64) + 1) for the AND and popcount of each pair of
+    words and the pass over the counts."""
+    A, B, target, _ = task
+    if len(A) * len(B) > _PAIR_CELLS:
+        nwords = words.shape[1]
+        order = int(np.bitwise_count(words[A[0]]).sum())
+        incidence = (order - 1) * 2 * target * ((len(B) + 63) // 64) + 2 * 64 * nwords
+        if incidence < len(B) * (2 * nwords + 1):
+            return _incidence_pairs(words, task)
+    return _popcount_pairs(words, task)
 
 
 def f2_bruteforce(lat: SubgroupLattice, *, threads: int | None = None) -> int:

@@ -26,12 +26,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_optimized(script: str) -> subprocess.CompletedProcess:
+def run_optimized(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run a Python script under python -O with the package on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    return subprocess.run([sys.executable, "-O", "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -258,6 +258,51 @@ class TestF2Command:
         assert run(capsys, "f2", "named:E:p=3", "--list") == (
             3, "", "facnum: resource limit: --list would print 121 factorization pairs, "
                    "more than the limit 120\n")
+
+    @pytest.mark.parametrize("spec", ["named:E:p=3", "abelian:p=2,type=1,1,1,1"])
+    def test_list_json_is_json_dumps(self, capsys, spec):
+        # the pairs are rendered apart from the rest of the document and
+        # spliced in: the bytes are json.dumps(doc, indent=2)'s
+        code, out, _ = run(capsys, "f2", spec, "--list", "--verify", "--format", "json")
+        assert code == 0 and len(json.loads(out)["pairs"]) > 100
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_list_json_splice_ignores_strings(self, capsys, tmp_path):
+        # a table path that reads like the pairs key dumps escaped, so the
+        # splice still lands on the top-level key
+        path = tmp_path / 'd8\n  "pairs": [].tbl'
+        path.write_text(dihedral8().to_table_text())
+        code, out, _ = run(capsys, "f2", f"table:{path}", "--list", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and len(doc["pairs"]) == 41 and doc["spec"] == f"table:{path}"
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_list_disagreeing_with_f2_exits_1(self, capsys, monkeypatch):
+        # F2 and the listing may come from different kernels, so --list
+        # checks one against the other
+        exact = cli.list_factorizations
+        monkeypatch.setattr(cli, "list_factorizations", lambda lat: exact(lat)[1:])
+        assert run(capsys, "f2", "named:E:p=3", "--list") == (
+            1, "", "facnum: verification failed: --list found 120 factorization pairs, "
+                   "but F2 = 121\n")
+
+    def test_incidence_route_off_by_one_exits_1_under_optimize(self):
+        # with a small _PAIR_CELLS, Z2^5's larger tasks go by incidence; one
+        # extra pair per task must fail --verify, also under python -O
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, lattice
+            lattice._PAIR_CELLS = 64
+            if sys.argv[1] == "off":
+                exact = lattice._incidence_pairs
+                lattice._incidence_pairs = lambda words, task: exact(words, task) + 1
+            sys.exit(cli.main(["f2", "abelian:p=2,type=1,1,1,1,1", "--verify"]))
+        """)
+        exact, off = (run_optimized(script, arg) for arg in ("exact", "off"))
+        assert exact.returncode == 0, exact.stderr
+        assert "F2 = 55989" in exact.stdout and "verify eq1: pass" in exact.stdout
+        assert off.returncode == 1, off.stderr
+        assert "F2 = 55989" not in off.stdout and "verify eq1: FAIL" in off.stdout
 
     @pytest.mark.parametrize("spec", ["named:E:p=3", "abelian:p=2,type=1,2"])
     def test_list_csv_prints_no_pairs(self, capsys, spec):

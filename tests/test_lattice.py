@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from facnum import lattice
+from facnum.cli import main
 from facnum.errors import DomainError, ResourceLimitError, VerificationError
 from facnum.formulas import (
     PartitionType,
@@ -34,8 +35,12 @@ from facnum.groups import (
 from facnum.lattice import (
     Subgroup,
     SubgroupLattice,
+    _incidence_pairs,
     _joins,
+    _mobius_recursion,
     _pair_counts,
+    _pair_tasks,
+    _popcount_pairs,
     _up_words,
     enumerate_subgroups,
     f2_bruteforce,
@@ -501,7 +506,8 @@ class TestChunkedContainment:
     """The class-by-class containment pass under small cell budgets: one row
     per chunk, and at least three (exactly three in the class of the
     costliest row), so classes are cut into several chunks that must be put
-    back in order, and the incidence table is built 64 members at a time."""
+    back in order, the incidence table is built 64 members at a time, and
+    the transposition adds its keys one member or a few at a time."""
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("label,builder", CHUNKED_GROUPS)
@@ -544,6 +550,33 @@ class TestJoins:
 
 
 class TestMobius:
+    @pytest.mark.parametrize("bound", [1, 64])
+    @pytest.mark.parametrize("label,builder", [
+        ("Z2^6", lambda: elementary_abelian_group(2, 6)),
+        ("D60", lambda: dihedral_group(30)),
+        ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+        A5,
+        ("E125", lambda: heisenberg_p3(5)),
+    ])
+    def test_object_fallback_matches_int64(self, label, builder, bound, monkeypatch):
+        # a lowered bound moves the sums to Python ints from the first class
+        # (1) or part way through (64); the tuples must not change
+        lat = enumerate_subgroups(builder())
+        want = (mobius_to_top(lat), mobius_from_bottom(lat))
+        monkeypatch.setattr(lattice, "_MU_INT64_BOUND", bound)
+        got = (mobius_to_top(lat), mobius_from_bottom(lat))
+        assert got == want
+        assert all(type(v) is int for mu in got + want for v in mu)
+
+    def test_sums_past_int64_stay_exact(self):
+        # one member per class, each listing itself and the member before it
+        # twice: mu_k = -2 mu_(k-1) = (-2)^k, past 2^63 from k = 63 on
+        k = 70
+        flat = np.array([0] + [x for i in range(1, k) for x in (i, i - 1, i - 1)], dtype=np.int64)
+        degrees = np.array([1] + [3] * (k - 1), dtype=np.int64)
+        classes = [(i, i + 1) for i in range(k)]
+        assert _mobius_recursion(flat, degrees, classes) == tuple((-2) ** i for i in range(k))
+
     def test_chain_mu_is_zero(self):
         lat = enumerate_subgroups(cyclic_group(2, 2))
         assert mobius_to_top(lat)[0] == 0
@@ -699,8 +732,10 @@ WORD_BOUNDARY_GROUPS = [
 
 
 class TestPairKernel:
-    """f2_bruteforce, f2_of_member, list_factorizations and permuting_pairs
-    share _pair_counts."""
+    """list_factorizations, permuting_pairs and every task of at most
+    _PAIR_CELLS pairs of f2_bruteforce and f2_of_member read _pair_counts;
+    larger tasks may go by _incidence_pairs (TestIncidenceRoute).  With
+    _PAIR_CELLS at 1 and 3, the set oracle checks both routes."""
 
     @pytest.mark.parametrize("cells", [None, 1, 3])
     @pytest.mark.parametrize("label,builder", WORD_BOUNDARY_GROUPS)
@@ -770,6 +805,108 @@ class TestPairKernel:
         (s, e, counts), = _pair_counts(full, np.array([0]), np.array([1]), False)
         assert counts.dtype == dtype
         assert (s, e) == (0, 1) and (counts == order).tolist() == [[True]]
+
+
+# Lattices whose every pair task, and every task f2_of_member builds, both
+# routes count alike.
+ROUTE_GROUPS = WORD_BOUNDARY_GROUPS + [
+    ("Z2^6", lambda: elementary_abelian_group(2, 6)),
+    ("Z3^4", lambda: elementary_abelian_group(3, 4)),
+    ("E125", lambda: heisenberg_p3(5)),
+    ("S4", lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])),
+    A5,
+]
+
+
+def member_tasks(lat):
+    """(words, task) for every task of f2_of_member, member by member."""
+    for h, down in enumerate(lat.down_lists):
+        words = lat.words[down]
+        for task in _pair_tasks(lat.orders[down], int(lat.orders[h])):
+            yield words, task
+
+
+class TestIncidenceRoute:
+    """_incidence_pairs against _popcount_pairs task by task, its column
+    masks at block edges, and the tasks _ordered_pairs gives it."""
+
+    @pytest.mark.parametrize("label,builder", ROUTE_GROUPS)
+    def test_every_task_both_ways(self, label, builder):
+        lat = enumerate_subgroups(builder())
+        tasks = [(lat.words, task) for task in _pair_tasks(lat.orders, lat.group.order)]
+        for words, task in tasks + list(member_tasks(lat)):
+            assert _incidence_pairs(words, task) == _popcount_pairs(words, task), (label, task[2:])
+
+    @pytest.fixture(scope="class")
+    def rank6(self):
+        return enumerate_subgroups(elementary_abelian_group(2, 6))
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("skip", [0, 37])
+    @pytest.mark.parametrize("da,db", [(8, 8), (16, 16), (8, 16), (4, 16)])
+    def test_column_masks(self, rank6, da, db, skip, rows, monkeypatch):
+        # Z2^6 has 1 395 members of order 8 and 651 of order 16 (one word
+        # each); less the first 37, neither class size is a multiple of 64.
+        # A budget of `rows` rows of the widest block makes blocks of one or
+        # three rows at first and wider ones as a same-class block's columns
+        # narrow, so blocks start inside a word.
+        target, same = da * db // 64, da == db
+        A = np.flatnonzero(rank6.orders == da)[skip:]
+        B = A if same else np.flatnonzero(rank6.orders == db)[skip:]
+        if rows is not None:
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", rows * (target + 2) * ((len(B) + 63) // 64))
+        w = rank6.words
+        sizes = np.bitwise_count(w[A][:, None] & w[B][None, :]).sum(axis=2)
+        expected = np.count_nonzero(sizes == target) * (1 if same else 2)
+        assert _incidence_pairs(w, (A, B, target, same)) == expected
+
+    def test_routes_on_elementary_rank7(self, monkeypatch):
+        # the large tasks of Z2^7 go by incidence, (32, 32) and every task
+        # of at most _PAIR_CELLS pairs by popcount
+        lat = enumerate_subgroups(elementary_abelian_group(2, 7))
+        taken = {}
+
+        def record(route):
+            def count(words, task):
+                A, B = task[:2]
+                taken[int(lat.orders[A[0]]), int(lat.orders[B[0]])] = route
+                return 0
+            return count
+
+        monkeypatch.setattr(lattice, "_incidence_pairs", record("incidence"))
+        monkeypatch.setattr(lattice, "_popcount_pairs", record("popcount"))
+        f2_bruteforce(lat)
+        assert all(taken[pair] == "incidence" for pair in [(8, 16), (16, 16), (8, 32), (16, 32)])
+        assert taken[32, 32] == "popcount"
+        small = {(int(lat.orders[A[0]]), int(lat.orders[B[0]]))
+                 for A, B, _, _ in _pair_tasks(lat.orders, 128) if len(A) * len(B) <= lattice._PAIR_CELLS}
+        assert small and all(taken[pair] == "popcount" for pair in small)
+
+    def test_benchmark_catalog_and_large_order_stay_on_popcount(self, capsys, monkeypatch):
+        # the groups and commands of those two workloads, by spec: no task of
+        # theirs, nor of their members, spans more than one block
+        def refuse(words, task):
+            raise AssertionError(f"incidence route taken for a task of target {task[2]}")
+
+        monkeypatch.setattr(lattice, "_incidence_pairs", refuse)
+        for argv in [("explore", "theorem5", "--p", "5", "--n", "3"),
+                     ("f2", "named:E:p=3", "--verify", "--list"),
+                     ("sd", "named:E:p=3"), ("sd", "named:M:p=3"), ("sd", "named:D8"),
+                     ("sd", "named:Q8"), ("sd", "abelian:p=2,type=1,1,1,1,1"),
+                     ("f2", "abelian:p=3,type=3,3", "--verify"),
+                     ("f2", "abelian:p=2,type=10", "--verify")]:
+            assert main([*argv, "--threads", "2"]) == 0, argv
+        capsys.readouterr()
+
+    def test_list_and_permuting_pairs_read_pair_counts(self, monkeypatch):
+        def refuse(words, task):
+            raise AssertionError("incidence route taken")
+
+        monkeypatch.setattr(lattice, "_incidence_pairs", refuse)
+        monkeypatch.setattr(lattice, "_PAIR_CELLS", 3)
+        lat = enumerate_subgroups(elementary_abelian_group(2, 4))
+        assert len(list_factorizations(lat)) == f2_elementary(4, 2)
+        assert permuting_pairs(lat) == len(lat) ** 2
 
 
 class TestSd:
