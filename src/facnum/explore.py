@@ -13,7 +13,10 @@ All three run one sweep, `_sweep`, over a catalog: a list of
 `groups.GroupSpec`s, so any row can be re-run with `facnum f2 <spec>`.
 Every spec whose family has a closed form in `groups.FAMILIES` carries it,
 and the sweep cross-checks it against brute force on every row: a
-disagreement raises `VerificationError`.
+disagreement raises `VerificationError`.  Each row keeps its checked
+closed form, so nothing is evaluated twice: the elementary bound of
+conjecture6 is the F2 of its first row, the elementary group, and the
+closed-form column of the partition report reads the row's value.
 """
 
 from __future__ import annotations
@@ -87,10 +90,11 @@ def theorem5_catalog(p: int, n: int) -> list[GroupSpec]:
 
 
 def _sweep(specs: Sequence[GroupSpec], threads: int | None, max_order: int | None,
-           max_subgroups: int | None) -> list[tuple[FiniteGroup, str, int, int]]:
-    """(G, source, |L|, F2) for each spec, by brute force, each group built
-    under the run's order cap.  The source is the path of a table: spec and
-    "builtin" otherwise.  A spec's closed form, if it has one, must agree."""
+           max_subgroups: int | None) -> list[tuple[FiniteGroup, str, int, int, int | None]]:
+    """(G, source, |L|, F2, closed) for each spec, by brute force, each group
+    built under the run's order cap.  The source is the path of a table:
+    spec and "builtin" otherwise.  closed is the spec's closed form, None
+    without one; where there is one, it has been checked to equal F2."""
     out = []
     for spec in specs:
         G = spec.build(max_order)
@@ -101,7 +105,7 @@ def _sweep(specs: Sequence[GroupSpec], threads: int | None, max_order: int | Non
             raise VerificationError(f"closed form {closed} disagrees with "
                                     f"brute force {f2} for {G.label}")
         kind, _, path = spec.text.partition(":")
-        out.append((G, path if kind == "table" else "builtin", len(lat), f2))
+        out.append((G, path if kind == "table" else "builtin", len(lat), f2, closed))
     return out
 
 
@@ -109,8 +113,13 @@ def _sweep(specs: Sequence[GroupSpec], threads: int | None, max_order: int | Non
 # Theorem-5 style extremal check
 # ---------------------------------------------------------------------------
 
+class _Report:
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
 @dataclass
-class Theorem5Report:
+class Theorem5Report(_Report):
     p: int
     n: int
     rows: list[dict]
@@ -135,9 +144,6 @@ class Theorem5Report:
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def render(self) -> str:
         table = render_aligned(
             ["group", "order", "|L|", "F2"],
@@ -152,19 +158,20 @@ def check_theorem5(p: int, n: int, *, threads: int | None = None,
     """Brute-force F2 over the full catalog of groups of order p^n (n = 2, 3)
     and check the extremes: strict maximum at the elementary abelian group,
     minimum 2n + 1 at the cyclic group."""
-    swept = _sweep(theorem5_catalog(p, n), threads, max_order, max_subgroups)
+    specs = theorem5_catalog(p, n)
+    swept = _sweep(specs, threads, max_order, max_subgroups)
     rows = [{"label": G.label, "source": source, "order": G.order,
-             "lattice_size": str(size), "f2": str(f2)} for G, source, size, f2 in swept]
-    values = {G.label: f2 for G, _, _, f2 in swept}
+             "lattice_size": str(size), "f2": str(f2)} for G, source, size, f2, _ in swept]
+    values = {G.label: f2 for G, _, _, f2, _ in swept}
     elem_label = swept[0][0].label
-    cyclic_label = f"Z{p ** n}"
     elem_value = values[elem_label]
+    cyclic_value = swept[specs.index(GroupSpec.named("Cyclic", p, n))][3]
     problems = []
     for label, v in values.items():
         if label != elem_label and v >= elem_value:
             problems.append(f"{label} has F2 = {v} >= {elem_value}")
-    if values[cyclic_label] != 2 * n + 1:
-        problems.append(f"cyclic member has F2 = {values[cyclic_label]} != {2 * n + 1}")
+    if cyclic_value != 2 * n + 1:
+        problems.append(f"cyclic member has F2 = {cyclic_value} != {2 * n + 1}")
     if min(values.values()) != 2 * n + 1:
         problems.append("cyclic member does not attain the minimum")
     verdict = "verified" if not problems else "violated: " + "; ".join(problems)
@@ -177,7 +184,7 @@ def check_theorem5(p: int, n: int, *, threads: int | None = None,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Conjecture6Report:
+class Conjecture6Report(_Report):
     p: int
     n: int
     bound: int
@@ -210,9 +217,6 @@ class Conjecture6Report:
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def render(self) -> str:
         table = render_aligned(
             ["group", "source", "F2", "<= bound"],
@@ -243,13 +247,14 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
         if G.order != order:
             raise DomainError(f"{path}: table has order {G.order}, expected p^n = {order}")
         tables.append(GroupSpec(f"table:{path}", lambda max_order, G=G: G))
-    _check_order_cap(order, max_order)  # before the bound and partitions(n): both grow fast
-    bound = GroupSpec.named("Elem", p, n).closed()
+    _check_order_cap(order, max_order)  # before partitions(n), which grows fast with n
+    # the first row is the elementary group: Elem, or the partition 1,...,1
     specs = theorem5_catalog(p, n) if n in (2, 3) else [
         GroupSpec.abelian(PartitionType(p, pf.nondecreasing)) for pf in partitions(n)]
+    swept = _sweep(specs + tables, threads, max_order, max_subgroups)
+    bound = swept[0][3]  # checked against the closed form of F2(Z_p^n) by _sweep
     rows = [{"label": G.label, "source": source, "order": G.order, "f2": str(f2),
-             "within_bound": f2 <= bound}
-            for G, source, _, f2 in _sweep(specs + tables, threads, max_order, max_subgroups)]
+             "within_bound": f2 <= bound} for G, source, _, f2, _ in swept]
     counterexamples = [f"{r['label']} has F2 = {r['f2']} > {bound}"
                        for r in rows if not r["within_bound"]]
     complete = n <= 3
@@ -268,7 +273,7 @@ def check_conjecture6(p: int, n: int, extra_tables: Sequence[str] = (), *,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MonotonicityReport:
+class MonotonicityReport(_Report):
     """F2 across all abelian types of order p^n, ranked in lexicographic
     order under both partition-writing conventions, with a monotonicity
     verdict (F2 nonincreasing along increasing lex) for each."""
@@ -291,9 +296,6 @@ class MonotonicityReport:
             "rows": self.rows,
             "verdicts": self.verdicts,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:
         table = render_aligned(
@@ -327,16 +329,15 @@ def open_problem_table(p: int, n: int, *, threads: int | None = None,
     _check_order_cap(p**n, max_order)  # before partitions(n), which grows fast with n
     forms = partitions(n)
     specs = [GroupSpec.abelian(PartitionType(p, pf.nondecreasing)) for pf in forms]
+    swept = _sweep(specs, threads, max_order, max_subgroups)
     rows = [{
         "nondecreasing": list(pf.nondecreasing),
         "nonincreasing": list(pf.nonincreasing),
         "label": G.label,
         "lattice_size": str(size),
         "f2": str(f2),
-        # _sweep has checked that a closed form equals F2
-        "closed_form": None if spec.closed() is None else str(f2),
-    } for pf, spec, (G, _, size, f2) in zip(forms, specs,
-                                            _sweep(specs, threads, max_order, max_subgroups))]
+        "closed_form": None if closed is None else str(closed),
+    } for pf, (G, _, size, f2, closed) in zip(forms, swept)]
 
     verdicts: dict[str, dict] = {}
     for name, key in (("nondecreasing_lex", "nondecreasing"),

@@ -4,10 +4,12 @@ Everything here is exact: values are Python ints, symbolic forms are
 ``IntPolynomial``.  Each closed form is written once, as a polynomial in p
 (the ``*_poly`` function); the integer function of the same family checks
 its inputs, evaluates that polynomial at p and keeps its value checks.
-Quotients such as the rank-2 brackets over (p-1)^2 resp. (p-1)^4 are
-polynomial ``exact_div``s, which raise VerificationError (also under
-python -O) on any remainder, so a transcription slip blows up immediately
-instead of producing a plausible wrong number.
+The Gaussian brackets are built row by row by the q-Pascal rule, which
+divides nothing.  Quotients such as the rank-2 brackets over (p-1)^2
+resp. (p-1)^4 are polynomial ``exact_div``s, which raise
+VerificationError (also under python -O) on any division that is not
+exact, so a transcription slip blows up immediately instead of producing
+a plausible wrong number.
 
 An ordered pair of subgroups (H, K) with HK = G (as a product set) is a
 factorization of G; f2_* functions count those pairs for the families
@@ -16,6 +18,7 @@ with known closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError, VerificationError
@@ -52,11 +55,6 @@ def _require_odd_prime(p: int, what: str) -> int:
             "order-8 groups are D8 (F2 = 41) and Q8 (F2 = 17)"
         )
     return p
-
-
-def _binom2(n: int) -> int:
-    """C(n, 2) with C(0,2) = C(1,2) = 0."""
-    return n * (n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -106,22 +104,24 @@ def gaussian_binomial(n: int, i: int, p: int) -> int:
 
 
 def gaussian_binomial_poly(n: int, i: int) -> IntPolynomial:
-    """Symbolic form of gaussian_binomial as an integer polynomial in p."""
+    """Symbolic form of gaussian_binomial as an integer polynomial in p:
+    row n of _gaussian_rows."""
     if n < 0 or i < 0:
         raise DomainError(f"n and i must be nonnegative, got n={n}, i={i}")
     if i > n:
         raise DomainError(f"i must not exceed n, got i={i} > n={n}")
-    return _gaussian_row(n)[i]
+    return _gaussian_rows(n)[n][i]
 
 
-def _gaussian_row(n: int) -> list[IntPolynomial]:
-    """[n, i] for every i <= n, each from the one before:
-    [n, i] = [n, i-1] (p^(n-i+1) - 1) / (p^i - 1), an exact_div."""
-    x = IntPolynomial.x()
-    row = [IntPolynomial.constant(1)]
-    for i in range(1, n + 1):
-        row.append((row[-1] * (x ** (n - i + 1) - 1)).exact_div(x**i - 1))
-    return row
+def _gaussian_rows(n: int) -> list[list[IntPolynomial]]:
+    """Rows m = 0..n of the brackets [m, i], i <= m, each row from the one
+    before by the q-Pascal rule [m, i] = [m-1, i-1] + p^i [m-1, i], with
+    [m, 0] = [m, m] = 1: additions and shifts, nothing divided."""
+    rows = [[IntPolynomial.constant(1)]]
+    for m in range(1, n + 1):
+        last = rows[-1]
+        rows.append([last[0], *(last[i - 1] + last[i].shift(i) for i in range(1, m)), last[-1]])
+    return rows
 
 
 def total_subgroups_elementary(n: int, p: int) -> int:
@@ -133,7 +133,7 @@ def total_subgroups_elementary(n: int, p: int) -> int:
 def total_subgroups_elementary_poly(n: int) -> IntPolynomial:
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    return sum(_gaussian_row(n), IntPolynomial())
+    return sum(_gaussian_rows(n)[n], IntPolynomial())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def hall_mobius(n: int, p: int | None, elementary: bool) -> int:
     if p is None:
         raise DomainError(f"p is required for an elementary group of order p^{n}")
     _require_prime(p)
-    return (-1) ** n * p ** _binom2(n)
+    return (-1) ** n * p ** math.comb(n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +177,11 @@ def f2_elementary_poly(n: int) -> IntPolynomial:
     """Symbolic form of f2_elementary as a polynomial in p."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    x = IntPolynomial.x()
-    rows = [_gaussian_row(m) for m in range(n + 1)]
+    rows = _gaussian_rows(n)
     totals = [sum(row, IntPolynomial()) for row in rows]
     value = IntPolynomial()
     for i in range(n + 1):
-        term = rows[n][i] * totals[n - i] ** 2 * x ** _binom2(i)
+        term = (rows[n][i] * totals[n - i] ** 2).shift(math.comb(i, 2))
         value = value - term if i % 2 else value + term
     return value
 

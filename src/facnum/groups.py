@@ -319,21 +319,14 @@ def build_abelian(ptype: PartitionType, *, label: str | None = None,
 def cyclic_group(p: int, n: int, *, max_order: int | None = None) -> FiniteGroup:
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    t = PartitionType(p, (n,) if n else ())
-    return build_abelian(t, label=f"Z{p ** n}" if n else "Z1", max_order=max_order)
+    return build_abelian(PartitionType(p, (n,) if n else ()), max_order=max_order)
 
 
 def elementary_abelian_group(p: int, n: int, *, max_order: int | None = None) -> FiniteGroup:
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    t = PartitionType(p, (1,) * n)
-    if n == 0:
-        label = "Z1"
-    elif n == 1:
-        label = f"Z{p}"
-    else:
-        label = f"Z{p}^{n}"
-    return build_abelian(t, label=label, max_order=max_order)
+    return build_abelian(PartitionType(p, (1,) * n), label=f"Z{p}^{n}" if n > 1 else None,
+                         max_order=max_order)
 
 
 def _self_check(G: FiniteGroup, ok: bool, relation: str) -> None:

@@ -3,8 +3,9 @@
 Used for the symbolic side of every closed-form count: coefficients are
 plain Python ints, so nothing ever rounds.  Division is polynomial long
 division over the integers and is only defined when each elimination
-step divides exactly; ``exact_div`` additionally demands a zero
-remainder.
+step divides exactly (divmod raises ValueError otherwise); ``exact_div``
+raises VerificationError unless every step divides and no remainder is
+left.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("IntPolynomial", self.coeffs))
+        # a constant equals its int, so it hashes as that int
+        return hash(self(0)) if self.degree <= 0 else hash(("IntPolynomial", self.coeffs))
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer point (Horner, exact)."""
@@ -148,9 +150,7 @@ class IntPolynomial:
             quo[pos] = q
             for i, c in enumerate(dvc):
                 rem[pos + i] -= q * c
-            if rem[-1]:
-                raise VerificationError(f"elimination left leading coefficient {rem[-1]}")
-            rem.pop()
+            rem.pop()  # rem[-1] - q * lead, which is 0
             while rem and rem[-1] == 0:
                 rem.pop()
             if not rem:
@@ -158,9 +158,12 @@ class IntPolynomial:
         return IntPolynomial(quo), IntPolynomial(rem)
 
     def exact_div(self, other) -> "IntPolynomial":
-        """Divide, raising VerificationError unless the division leaves no
-        remainder."""
-        quo, rem = divmod(self, other)
+        """Divide, raising VerificationError unless the division is exact: a
+        leading coefficient that does not divide, or a remainder."""
+        try:
+            quo, rem = divmod(self, other)
+        except ValueError as exc:
+            raise VerificationError(f"polynomial division is not exact: {exc}") from None
         if rem:
             raise VerificationError(f"polynomial division left remainder {rem!r}")
         return quo

@@ -74,13 +74,7 @@ class Subgroup:
     order: int
 
     def indices(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return np.flatnonzero(_unpack(self.bits, self.bits.bit_length())).tolist()
 
 
 class SubgroupLattice:

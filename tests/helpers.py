@@ -14,6 +14,7 @@ import numpy as np
 
 from facnum.errors import ResourceLimitError
 from facnum.groups import FiniteGroup
+from facnum.intpoly import IntPolynomial
 
 SUBSET_ORACLE_MAX_ORDER = 16
 
@@ -270,3 +271,23 @@ def discovery_per_member(G: FiniteGroup, p: int, cap: int = 100_000):
                 if j_bits != full:
                     queue.append(j_bits)
     return members
+
+
+def gaussian_row_by_division(n: int) -> list[IntPolynomial]:
+    """[n, i] for every i <= n, each from the one before by the product
+    formula: [n, i] = [n, i-1] (p^(n-i+1) - 1) / (p^i - 1), an exact_div."""
+    x = IntPolynomial.x()
+    row = [IntPolynomial.constant(1)]
+    for i in range(1, n + 1):
+        row.append((row[-1] * (x ** (n - i + 1) - 1)).exact_div(x**i - 1))
+    return row
+
+
+def bit_indices(bits: int) -> list[int]:
+    """The set bits of an int, ascending, one lowest bit at a time."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out

@@ -199,3 +199,39 @@ class TestReports:
         doc = json.loads(open_problem_table(2, 4).to_json())
         assert doc["report"] == "partition_monotonicity"
         assert all(isinstance(r["f2"], str) for r in doc["rows"])
+
+
+class TestEachValueOnce:
+    """A sweep evaluates each row's closed form once, and conjecture6 takes
+    its bound from its first row instead of evaluating the form again."""
+
+    def test_openproblem_evaluates_each_closed_form_once(self, monkeypatch):
+        from facnum import groups
+
+        calls = []
+        real = groups.abelian_closed_form
+        monkeypatch.setattr(groups, "abelian_closed_form", lambda t: calls.append(t) or real(t))
+        report = open_problem_table(2, 4)
+        assert len(report.rows) == 5 and len(calls) == 5
+
+    def test_conjecture6_builds_the_elementary_polynomial_once(self, monkeypatch):
+        from facnum import formulas
+
+        calls = []
+        real = formulas.f2_elementary_poly
+        monkeypatch.setattr(formulas, "f2_elementary_poly", lambda n: calls.append(n) or real(n))
+        check_conjecture6(2, 4)
+        assert calls == [4]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_conjecture6_bound_is_the_elementary_f2(self, p, n, tmp_path):
+        from facnum.formulas import f2_elementary
+        from facnum.groups import cyclic_group
+
+        assert check_conjecture6(p, n).bound == f2_elementary(n, p)
+        table = tmp_path / "cyclic.tbl"
+        table.write_text(cyclic_group(p, n).to_table_text())
+        report = check_conjecture6(p, n, [str(table)])
+        assert report.bound == f2_elementary(n, p)
+        assert report.rows[-1]["source"] == str(table)

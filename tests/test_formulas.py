@@ -384,3 +384,12 @@ def test_invalid_input_errors_pinned(fn, args, exc, message):
         fn(*args)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_q_pascal_rows_match_the_division_rows():
+    from helpers import gaussian_row_by_division
+
+    rows = formulas._gaussian_rows(12)
+    assert len(rows) == 13
+    for m, row in enumerate(rows):
+        assert row == gaussian_row_by_division(m)

@@ -693,3 +693,11 @@ def test_prime_power():
     assert prime_power(7) == (7, 1)
     assert prime_power(12) is None
     assert prime_power(1) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_cyclic_and_elementary_labels(p, n):
+    assert cyclic_group(p, n).label == (f"Z{p ** n}" if n else "Z1")
+    expected = ["Z1", f"Z{p}"][n] if n < 2 else f"Z{p}^{n}"
+    assert elementary_abelian_group(p, n).label == expected

@@ -83,3 +83,21 @@ def test_str_formatting():
     assert str(x) == "p"
     assert str(-x + 1) == "-p + 1"
     assert str(x**2 - x) == "p^2 - p"
+
+
+def test_exact_div_rejects_a_leading_coefficient_that_does_not_divide():
+    x = IntPolynomial.x()
+    with pytest.raises(VerificationError):
+        (x**2).exact_div(2 * x)
+
+
+@pytest.mark.parametrize("c", [0, 5, -7])
+def test_constant_hashes_as_the_int_it_equals(c):
+    poly = IntPolynomial.constant(c)
+    assert poly == c and hash(poly) == hash(c)
+    assert len({c, poly}) == 1
+
+
+def test_zero_polynomial_hashes_as_zero():
+    assert IntPolynomial() == 0 and hash(IntPolynomial()) == hash(0)
+    assert len({0, IntPolynomial()}) == 1

@@ -1138,3 +1138,17 @@ class TestExport:
         assert a == b
         parsed = json.loads(a)
         assert parsed["f2"] == "17" and parsed["sd"] == "1"
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: cyclic_group_of_order(63),
+    lambda: elementary_abelian_group(2, 6),
+    lambda: cyclic_group_of_order(65),
+    lambda: build_abelian(PartitionType(2, (1, 6))),
+], ids=["Z63", "Z2^6", "Z65", "Z2xZ64"])
+def test_member_indices_match_the_bit_loop(builder):
+    from helpers import bit_indices
+
+    lat = enumerate_subgroups(builder())
+    for s in lat.subgroups:
+        assert s.indices() == bit_indices(s.bits)
