@@ -8,7 +8,10 @@ popcounts, _pair_counts, which gives every pair's |H∩K| to the
 factorization list, sd's permuting pairs and every small task; and,
 for a count of a task that spans several of its blocks, when it reads
 fewer words, saturating counters over the element incidence of the
-second class (_incidence_pairs).
+second class (_incidence_pairs).  F2 of a member H counts the pairs
+below H: every member whose down-list fits one block of _pair_counts
+is counted at once, in one flat kernel over all their pairs
+(_member_f2s); a larger member goes task by task as G does.
 
 Enumeration is cyclic extension: a member is extended by normal index-p
 steps, one order class and prime at a time, which reaches every subgroup
@@ -57,7 +60,7 @@ QUOTIENT_CAP = 400
 _LEVEL_CELLS = 1 << 16
 # uint64 cells per temporary block of the pair kernel: 2 MiB, one core's L2
 _PAIR_CELLS = 1 << 18
-# uint64 cells per temporary block of the permuting-pairs kernel
+# uint64 cells per temporary block of the permuting-pairs and member kernels
 _JOIN_CELLS = 1 << 14
 # |mu| times list length below which the Moebius sums run in int64
 _MU_INT64_BOUND = 1 << 63
@@ -119,6 +122,7 @@ class SubgroupLattice:
         self._up_degrees: np.ndarray | None = None
         self._down_degrees: np.ndarray | None = None
         self._mobius_top: tuple[int, ...] | None = None
+        self._member_f2: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -182,6 +186,14 @@ class SubgroupLattice:
         if self._mobius_top is None:
             self._mobius_top = mobius_to_top(self)
         return self._mobius_top
+
+    @property
+    def member_f2(self) -> list[int]:
+        """F2 of every member of at most one pair block (_member_f2s), 0 for
+        the larger ones, computed once per lattice."""
+        if self._member_f2 is None:
+            self._member_f2 = _member_f2s(self).tolist()
+        return self._member_f2
 
     def maximal_indices(self) -> list[int]:
         """Members covered only by the full group: every proper member's
@@ -664,10 +676,56 @@ def list_factorizations(lat: SubgroupLattice) -> list[tuple[int, int]]:
     return pairs
 
 
+def _member_f2s(lat: SubgroupLattice) -> np.ndarray:
+    """F2 of every member H whose down-list fits one block of _pair_counts,
+    len(down(H))^2 <= _PAIR_CELLS, as int64 counts (0 for the others), all
+    in one blocked kernel.  Each down-list holds H first and its subgroups
+    ascending, so H moved to its end sorts it by order.  Position i of H's
+    sorted list (member A) pairs with the positions j >= i whose order
+    reaches ceil(|H| / |A|), found by one searchsorted on (list, order)
+    keys; the cells (H, i, j) run in blocks of about _JOIN_CELLS gathered
+    words, and a cell is a hit iff |A||B| = |H||A ∩ B|.  The hits count per
+    member once, and once more where j != i, so the ordered pairs off the
+    diagonal count in both orders."""
+    m, words, orders = len(lat), lat.words, lat.orders
+    down = lat.down_lists
+    degrees = np.fromiter(map(len, down), dtype=np.int64, count=m)
+    small = np.flatnonzero(degrees * degrees <= _PAIR_CELLS)
+    sizes = degrees[small]
+    ends = np.cumsum(sizes)
+    take = np.arange(1, ends[-1] + 1)
+    take[ends - 1] = ends - sizes
+    members = np.concatenate([down[h] for h in small.tolist()])[take]
+    owner = np.repeat(small, sizes)
+    a, full = orders[members], orders[owner]
+    keys = np.repeat(np.arange(len(small)) * (lat.group.order + 1), sizes)
+    first = np.searchsorted(keys + a, keys - (-full // a))  # keys + ceil(|H| / |A|)
+    first = np.maximum(first, np.arange(len(members)))
+    offsets = np.concatenate(([0], np.cumsum(np.repeat(ends, sizes) - first)))
+    total, step = int(offsets[-1]), max(1, _JOIN_CELLS // words.shape[1])
+    counts = np.zeros(m, dtype=np.int64)
+    for c0 in range(0, total, step):
+        c1 = min(c0 + step, total)
+        lo, hi = np.searchsorted(offsets, [c0, c1 - 1], side="right").tolist()
+        rows = np.arange(lo - 1, hi)  # the positions whose cells meet c0..c1
+        i = np.repeat(rows, np.minimum(offsets[rows + 1], c1) - np.maximum(offsets[rows], c0))
+        j = first[i] + np.arange(c0, c1) - offsets[i]
+        both = np.bitwise_count(words[members[i]] & words[members[j]]).sum(axis=1, dtype=np.int64)
+        hit = a[i] * a[j] == full[i] * both
+        counts += np.bincount(owner[i[hit]], minlength=m)
+        counts += np.bincount(owner[i[hit & (i != j)]], minlength=m)
+    return counts
+
+
 def f2_of_member(lat: SubgroupLattice, h: int) -> int:
     """Number of ordered pairs (A, B) of members with A, B <= H and AB = H,
-    decided inside the lattice (no group reconstruction)."""
+    decided inside the lattice (no group reconstruction).  A member whose
+    down-list fits one block of _pair_counts reads lat.member_f2, which
+    _member_f2s fills for every such member at once; a larger one counts
+    the order-class tasks of its down-list, as f2_bruteforce does for G."""
     down = lat.down_lists[h]
+    if len(down) ** 2 <= _PAIR_CELLS:
+        return lat.member_f2[h]
     run = partial(_ordered_pairs, lat.words[down])
     return sum(map(run, _pair_tasks(lat.orders[down], int(lat.orders[h]))))
 
@@ -713,8 +771,11 @@ def sd(lat: SubgroupLattice) -> Fraction:
     """Subgroup commutativity degree as an exact rational.
 
     Computed as sum_H F2(H) / |L|^2 and, independently, as the fraction of
-    permuting ordered pairs; the two routes must agree exactly.  Lattices
-    with more than MAX_SD_PAIRS unordered member pairs are refused.
+    permuting ordered pairs; the two routes must agree exactly.  The first
+    takes F2(H) from f2_of_member (the down-lists and the order criterion),
+    the second from the joins of permuting_pairs (the up-lists); they share
+    only the intersection popcount.  Lattices with more than MAX_SD_PAIRS
+    unordered member pairs are refused.
     """
     m = len(lat)
     pairs = m * (m - 1) // 2

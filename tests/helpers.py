@@ -15,6 +15,7 @@ import numpy as np
 from facnum.errors import ResourceLimitError
 from facnum.groups import FiniteGroup
 from facnum.intpoly import IntPolynomial
+from facnum.lattice import _ordered_pairs, _pair_tasks
 
 SUBSET_ORACLE_MAX_ORDER = 16
 
@@ -291,3 +292,13 @@ def bit_indices(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
+
+
+def f2_of_member_by_tasks(lat, h: int) -> int:
+    """F2 of member h task by task: each order-class task (_pair_tasks) of
+    its down-list counted by _ordered_pairs, the route f2_of_member keeps
+    for a member larger than one pair block.  The reference for the flat
+    member kernel, _member_f2s."""
+    down = lat.down_lists[h]
+    words = lat.words[down]
+    return sum(_ordered_pairs(words, task) for task in _pair_tasks(lat.orders[down], int(lat.orders[h])))

@@ -552,6 +552,29 @@ class TestSdCommand:
         assert proc.returncode == 1, proc.stderr
         assert "sd routes disagree" in proc.stderr
 
+    @pytest.mark.parametrize("argv,stream,message", [
+        (("sd", "named:D8"), "stderr", "sd routes disagree"),
+        (("f2", "named:D8", "--verify"), "stdout", "verify eq1: FAIL"),
+    ])
+    def test_member_kernel_off_by_one_exits_1_under_optimize(self, argv, stream, message):
+        # One extra pair at the full group's own F2, which the member kernel
+        # counts on D8 (10 members).  eq1 moves with F2(G) alone: the Moebius
+        # values mu(H, G) over the H above a proper K sum to 0.
+        script = textwrap.dedent("""
+            import sys
+            from facnum import cli, lattice
+            exact = lattice._member_f2s
+            def off(lat):
+                counts = exact(lat)
+                counts[lat.index_of_full] += 1
+                return counts
+            lattice._member_f2s = off
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        proc = run_optimized(script, *argv)
+        assert proc.returncode == 1, proc.stderr
+        assert message in getattr(proc, stream)
+
     def test_up_list_mismatch_exits_1_under_optimize(self):
         # An up-list that loses a member corrupts the joins of the
         # permuting-pairs route only

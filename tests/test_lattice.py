@@ -65,6 +65,7 @@ from helpers import (
     direct_product,
     discovery_per_member,
     f2_by_product_sets,
+    f2_of_member_by_tasks,
     intersection_closed,
     meet_index,
     mobius_bottom_oracle,
@@ -733,9 +734,11 @@ WORD_BOUNDARY_GROUPS = [
 
 class TestPairKernel:
     """list_factorizations, permuting_pairs and every task of at most
-    _PAIR_CELLS pairs of f2_bruteforce and f2_of_member read _pair_counts;
-    larger tasks may go by _incidence_pairs (TestIncidenceRoute).  With
-    _PAIR_CELLS at 1 and 3, the set oracle checks both routes."""
+    _PAIR_CELLS pairs of f2_bruteforce and of f2_of_member on a member
+    larger than one block read _pair_counts; larger tasks may go by
+    _incidence_pairs (TestIncidenceRoute).  With _PAIR_CELLS at 1 and 3,
+    the set oracle checks both routes, and every member but the trivial
+    one goes task by task."""
 
     @pytest.mark.parametrize("cells", [None, 1, 3])
     @pytest.mark.parametrize("label,builder", WORD_BOUNDARY_GROUPS)
@@ -807,8 +810,8 @@ class TestPairKernel:
         assert (s, e) == (0, 1) and (counts == order).tolist() == [[True]]
 
 
-# Lattices whose every pair task, and every task f2_of_member builds, both
-# routes count alike.
+# Lattices whose every pair task, and every task of every member's down-list
+# (member_tasks), both routes count alike.
 ROUTE_GROUPS = WORD_BOUNDARY_GROUPS + [
     ("Z2^6", lambda: elementary_abelian_group(2, 6)),
     ("Z3^4", lambda: elementary_abelian_group(3, 4)),
@@ -819,7 +822,7 @@ ROUTE_GROUPS = WORD_BOUNDARY_GROUPS + [
 
 
 def member_tasks(lat):
-    """(words, task) for every task of f2_of_member, member by member."""
+    """(words, task) for every task of f2_of_member_by_tasks, member by member."""
     for h, down in enumerate(lat.down_lists):
         words = lat.words[down]
         for task in _pair_tasks(lat.orders[down], int(lat.orders[h])):
@@ -907,6 +910,88 @@ class TestIncidenceRoute:
         lat = enumerate_subgroups(elementary_abelian_group(2, 4))
         assert len(list_factorizations(lat)) == f2_elementary(4, 2)
         assert permuting_pairs(lat) == len(lat) ** 2
+
+
+S5 = ("S5", lambda: permutation_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))
+# Lattices at every member of which the member kernel meets the tasks
+MEMBER_GROUPS = ROUTE_GROUPS + [S5, ("D60", lambda: dihedral_group(30)),
+                                ("Z1", lambda: cyclic_group_of_order(1))]
+# Z2^6's 4.2·10^6 kernel cells would take minutes at 1 or 3 cells a block;
+# at the default budget they run in 254 blocks, which end inside rows and
+# down-lists
+KERNEL_BUDGETS = [(label, builder, cells) for label, builder in MEMBER_GROUPS
+                  for cells in (None, 1, 3) if cells is None or label != "Z2^6"]
+
+
+class TestMemberKernel:
+    """_member_f2s counts F2 at every member of at most one pair block in one
+    flat kernel; it must give what the member's own tasks give
+    (f2_of_member_by_tasks) and what the set oracle gives.  Block budgets of
+    1 and 3 cells end blocks inside a member's row of partners and inside
+    its down-list."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        """(label, builder) -> (lattice, F2 of each member by its tasks, and
+        by the set oracle, or on Z2^6, whose 2 825 members the set oracle
+        takes seconds over, by f2_elementary: each member is elementary)."""
+        cache = {}
+
+        def get(label, builder):
+            if label not in cache:
+                lat = enumerate_subgroups(builder())
+                by_tasks = [f2_of_member_by_tasks(lat, h) for h in range(len(lat))]
+                if label == "Z2^6":
+                    oracle = [f2_elementary(o.bit_length() - 1, 2) for o in lat.orders.tolist()]
+                else:
+                    sets = [frozenset(s.indices()) for s in lat.subgroups]
+                    oracle = [len(set_oracle_pairs([sets[k] for k in down.tolist()], len(sets[h])))
+                              for h, down in enumerate(lat.down_lists)]
+                cache[label] = lat, by_tasks, oracle
+            return cache[label]
+
+        return get
+
+    @pytest.mark.parametrize("label,builder,cells", KERNEL_BUDGETS)
+    def test_against_tasks_and_set_oracle(self, expected, label, builder, cells, monkeypatch):
+        lat, by_tasks, oracle = expected(label, builder)
+        assert by_tasks == oracle
+        if cells is not None:
+            monkeypatch.setattr(lattice, "_JOIN_CELLS", cells)
+        small = (lat.down_degrees ** 2 <= lattice._PAIR_CELLS).tolist()
+        assert all(small[:-1]) and small[-1] == (label != "Z2^6")  # only Z2^6 itself is large
+        counts = lattice._member_f2s(lat)
+        assert counts.tolist() == [f if s else 0 for f, s in zip(by_tasks, small)]
+
+    @pytest.mark.parametrize("route", ["kernel", "tasks"])
+    @pytest.mark.parametrize("label,builder", MEMBER_GROUPS)
+    def test_every_member_by_either_route(self, expected, label, builder, route, monkeypatch):
+        # _PAIR_CELLS at the largest down-list squared sends every member to
+        # the kernel, and at 0 every member to its own tasks
+        lat, by_tasks, _ = expected(label, builder)
+        fresh = SubgroupLattice(lat.group, [s.bits for s in lat.subgroups])  # nothing cached
+
+        def refuse(*args):
+            raise AssertionError(f"{route} route left")
+
+        if route == "kernel":
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", int(lat.down_degrees.max()) ** 2)
+            monkeypatch.setattr(lattice, "_ordered_pairs", refuse)
+        else:
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", 0)
+            monkeypatch.setattr(lattice, "_member_f2s", refuse)
+        assert [f2_of_member(fresh, h) for h in range(len(fresh))] == by_tasks
+
+    @pytest.mark.parametrize("cells", [None, 0])
+    def test_exact_types(self, cells, monkeypatch):
+        lat = enumerate_subgroups(dihedral8())
+        assert np.issubdtype(lattice._member_f2s(lat).dtype, np.integer)
+        if cells is not None:  # every member by its own tasks
+            monkeypatch.setattr(lattice, "_PAIR_CELLS", cells)
+        assert all(type(f2_of_member(lat, h)) is int for h in range(len(lat)))
+        value = sd(lat)
+        assert type(value) is Fraction and value == Fraction(23, 25)
+        assert type(value.numerator) is int and type(value.denominator) is int
 
 
 class TestSd:
